@@ -82,11 +82,9 @@ func runGateway(args []string) error {
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	g.Start(ctx)
-	// LIFO: stop cancels ctx first so Close's wait for the probe loops
-	// can finish — the reverse order deadlocks every error return.
-	defer g.Close()
 	defer stop()
+	g.Start(ctx)
+	defer g.Close()
 
 	srv := &http.Server{Addr: *addr, Handler: g}
 	errc := make(chan error, 1)

@@ -19,10 +19,11 @@
 // baseline cost tables, an effective per-message latency, an effective
 // per-byte cost (1/bandwidth), and a fixed per-iteration overhead.
 // Fit reports per-parameter standard errors, the coefficient of
-// determination, and residuals; CrossValidate adds k-fold generalization
-// error. Feature extraction itself lives with the façade (pkg/krak),
-// which owns decks, calibrated cost curves, and network models; this
-// package is the numerical core plus the bounded textual dataset format.
+// determination, and residuals; CrossValidateForm adds k-fold
+// generalization error. Feature extraction itself lives with the façade
+// (pkg/krak), which owns decks, calibrated cost curves, and network
+// models; this package is the numerical core plus the bounded textual
+// dataset format.
 package calib
 
 import "errors"

@@ -186,7 +186,7 @@ func TestCrossValidate(t *testing.T) {
 	feats := drawFeatures(rng, 30)
 	times := Synthesize(want, feats, 0, 7)
 
-	cv, err := CrossValidate(times, feats, 5, 42)
+	cv, err := CrossValidateForm(times, feats, 5, 42, linearForm{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,21 +196,21 @@ func TestCrossValidate(t *testing.T) {
 	if cv.RMSE > 1e-9 || cv.MAPE > 1e-9 {
 		t.Errorf("noiseless CV error: rmse %g mape %g", cv.RMSE, cv.MAPE)
 	}
-	again, err := CrossValidate(times, feats, 5, 42)
+	again, err := CrossValidateForm(times, feats, 5, 42, linearForm{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *cv != *again {
 		t.Errorf("CV is not deterministic: %+v vs %+v", cv, again)
 	}
-	other, err := CrossValidate(times, feats, 5, 43)
+	other, err := CrossValidateForm(times, feats, 5, 43, linearForm{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = other // different seed shuffles differently; only determinism per seed is contractual
 
 	for _, k := range []int{0, 1, 31, -2} {
-		if _, err := CrossValidate(times, feats, k, 1); err == nil {
+		if _, err := CrossValidateForm(times, feats, k, 1, linearForm{}); err == nil {
 			t.Errorf("k=%d accepted", k)
 		}
 	}
@@ -224,7 +224,7 @@ func TestCrossValidateNoisy(t *testing.T) {
 	feats := drawFeatures(rng, 60)
 	times := Synthesize(want, feats, 0.02, 11)
 
-	cv, err := CrossValidate(times, feats, 4, 9)
+	cv, err := CrossValidateForm(times, feats, 4, 9, linearForm{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,9 +127,11 @@ func CrossValidateForm(times []float64, feats []Features, k int, seed uint64, fo
 	return crossValidateWith(times, feats, k, seed, form.Fit)
 }
 
-// crossValidateWith is k-fold cross-validation generalized over a fit
-// function: the same seeded Fisher-Yates fold assignment as
-// CrossValidate (which delegates here), applied to any form.
+// crossValidateWith is seeded, deterministic k-fold cross-validation
+// over the aligned times and features, generalized over a fit function:
+// observations are shuffled by a deterministic stream of the seed, split
+// into k near-equal folds, and each fold is predicted by a model fitted
+// on the other k-1. Requires 2 <= k <= len(times).
 func crossValidateWith(times []float64, feats []Features, k int, seed uint64,
 	fit func([]float64, []Features) (*FormFit, error)) (*CVStats, error) {
 	n := len(times)

@@ -89,8 +89,10 @@ type Gateway struct {
 	rngMu sync.Mutex
 	rng   *stats.SplitMix64
 
-	// probeWG tracks the health-probe goroutines Start launched.
-	probeWG sync.WaitGroup
+	// probeWG tracks the health-probe goroutines Start launched;
+	// stopProbes cancels the context they run under.
+	probeWG    sync.WaitGroup
+	stopProbes context.CancelFunc
 
 	requests       atomic.Int64
 	retries        atomic.Int64
@@ -150,17 +152,22 @@ func New(cfg Config, faults *faultinject.Injector) (*Gateway, error) {
 }
 
 // Start launches one health-probe loop per replica; the loops exit when
-// ctx is canceled. Close waits for them, so cancel ctx before Close.
+// ctx is canceled or Close is called.
 func (g *Gateway) Start(ctx context.Context) {
+	ctx, g.stopProbes = context.WithCancel(ctx)
 	for _, rep := range g.replicas {
 		g.probeWG.Add(1)
 		go g.probeLoop(ctx, rep)
 	}
 }
 
-// Close waits for the probe loops to exit. Cancel the Start context
-// first; Close does not interrupt anything on its own.
+// Close stops the probe loops and waits for them to exit. It is safe
+// whether or not Start's context was already canceled, and on a gateway
+// that was never started.
 func (g *Gateway) Close() error {
+	if g.stopProbes != nil {
+		g.stopProbes()
+	}
 	g.probeWG.Wait()
 	return nil
 }
@@ -496,7 +503,7 @@ func (g *Gateway) localMachine(ms krak.MachineSpec) (*krak.Machine, error) {
 	if _, err := build(); err != nil {
 		return nil, err
 	}
-	m, err := g.machines.GetBounded(ms.Fingerprint(), maxLocalMachines, build)
+	m, _, err := g.machines.GetBounded(ms.Fingerprint(), maxLocalMachines, build)
 	if errors.Is(err, engine.ErrCacheFull) {
 		return nil, fmt.Errorf("%w: local fallback machine cache full", krak.ErrUnavailable)
 	}

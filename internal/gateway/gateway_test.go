@@ -342,6 +342,29 @@ func TestGatewayHealthProbesMarkDeadReplicas(t *testing.T) {
 	}
 }
 
+// TestGatewayCloseWithoutCancel is the regression test for the
+// shutdown deadlock: Close must stop the probe loops itself, so a caller
+// that never cancels Start's context still gets Close back promptly.
+func TestGatewayCloseWithoutCancel(t *testing.T) {
+	s := newStubReplica()
+	defer s.ts.Close()
+	g, err := New(testConfig(s.ts.URL), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start(context.Background())
+	closed := make(chan error, 1)
+	go func() { closed <- g.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked with Start's context still live")
+	}
+}
+
 func TestGatewayObservability(t *testing.T) {
 	s := newStubReplica()
 	defer s.ts.Close()

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -31,22 +32,20 @@ func benchPost(s *Server, body string) *httptest.ResponseRecorder {
 	return w
 }
 
-// BenchmarkServePredict measures the predict endpoint's two serving
+// BenchmarkServePredict measures the predict endpoint's serving
 // regimes. "cold" means a response-cache miss against fully warm
 // artifact caches: the setup evaluates every grid point once so decks,
 // calibrations, and partitions are all memoized, then the measured loop
 // cycles through more distinct requests than the LRU holds (sequential
 // cycling of 64 keys through 16 slots misses forever), so every request
-// pays scenario construction, batch dispatch (including the micro-batch
-// window an unaccompanied request waits out), model evaluation, and
-// rendering — the serving layer's own cost, not the partitioner's.
-// (Before PR 5 the warm-up only primed one point; at the archived
-// -benchtime 1x that was invisible because the single measured request
-// was that point, but any longer run silently folded fresh partitions
-// into "cold".) "warm" repeats one request, so after the first hit
-// everything is served from the rendered-response LRU. The gap between
-// the two is the cache's value per request — the acceptance bar is warm
-// ≥ 10x faster than cold.
+// pays scenario construction, model evaluation, and rendering — the
+// serving layer's own cost, not the partitioner's. "cold-concurrent" is
+// the same miss path under contention: eight callers per GOMAXPROCS
+// cycle 512 distinct general-model predicts through 16 slots, so it
+// measures what concurrent misses cost each other. "warm" repeats one
+// request, so after the first hit everything is served from the
+// rendered-response LRU. The gap between cold and warm is the cache's
+// value per request; warm runs an order of magnitude or more faster.
 func BenchmarkServePredict(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		s := benchServer(b, 16) // 64 distinct keys vs 16 slots: misses forever
@@ -63,6 +62,27 @@ func BenchmarkServePredict(b *testing.B) {
 				b.Fatalf("status %d: %s", w.Code, w.Body.String())
 			}
 		}
+	})
+	b.Run("cold-concurrent", func(b *testing.B) {
+		const keys = 512
+		s := benchServer(b, 16) // 512 distinct keys vs 16 slots: misses forever
+		body := func(i int64) string { return fmt.Sprintf(`{"deck":"small","pes":%d}`, 2+i%keys) }
+		for i := int64(0); i < keys; i++ {
+			if w := benchPost(s, body(i)); w.Code != http.StatusOK {
+				b.Fatalf("warm-up %d: status %d: %s", i, w.Code, w.Body.String())
+			}
+		}
+		var next atomic.Int64
+		b.SetParallelism(8)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if w := benchPost(s, body(next.Add(1))); w.Code != http.StatusOK {
+					b.Errorf("status %d: %s", w.Code, w.Body.String())
+					return
+				}
+			}
+		})
 	})
 	b.Run("warm", func(b *testing.B) {
 		s := benchServer(b, 16)

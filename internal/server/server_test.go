@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"krak/internal/engine"
 	"krak/pkg/krak"
 )
 
@@ -115,41 +117,10 @@ func TestPredictResponseDecodes(t *testing.T) {
 	}
 }
 
-// TestPredictMicroBatching opens a wide window, fires distinct cold
-// predicts concurrently, and asserts they dispatched as one engine
-// batch.
-func TestPredictMicroBatching(t *testing.T) {
-	s := quickServer(func(c *Config) { c.BatchWindow = 300 * time.Millisecond })
-	// Prime the machine's artifact caches so the batched requests don't
-	// serialize on the one-time calibration fill.
-	post(t, s, "/v1/predict", `{"deck":"small","pes":2}`)
-
-	const n = 6
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"deck":"small","pes":%d}`, 4+i)
-			w := post(t, s, "/v1/predict", body)
-			if w.Code != http.StatusOK {
-				t.Errorf("pe %d: status %d: %s", 4+i, w.Code, w.Body.String())
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	batches, jobs := s.batch.batches.Load(), s.batch.jobs.Load()
-	// One batch for the primer, one for the concurrent burst.
-	if batches != 2 || jobs != n+1 {
-		t.Errorf("batches=%d jobs=%d, want 2 batches carrying %d jobs", batches, jobs, n+1)
-	}
-}
-
 // TestDuplicateRequestsCoalesce fires identical cold requests
 // concurrently and asserts the single-flight LRU ran one computation.
 func TestDuplicateRequestsCoalesce(t *testing.T) {
-	s := quickServer(func(c *Config) { c.BatchWindow = 50 * time.Millisecond })
+	s := quickServer()
 	const n = 8
 	bodies := make([]string, n)
 	var wg sync.WaitGroup
@@ -167,8 +138,8 @@ func TestDuplicateRequestsCoalesce(t *testing.T) {
 			t.Fatalf("response %d differs from response 0", i)
 		}
 	}
-	if jobs := s.batch.jobs.Load(); jobs != 1 {
-		t.Errorf("batcher saw %d jobs, want 1 (duplicates must coalesce before dispatch)", jobs)
+	if misses, shared := s.cacheMisses.Load(), s.cacheHits.Load()+s.cacheCoalesced.Load(); misses != 1 || shared != n-1 {
+		t.Errorf("misses=%d hits+coalesced=%d, want 1/%d (duplicates must share one computation)", misses, shared, n-1)
 	}
 }
 
@@ -367,8 +338,11 @@ func TestQuickDefaultApplied(t *testing.T) {
 	if s.machines.Len() != 1 {
 		t.Fatalf("machines = %d", s.machines.Len())
 	}
-	if !s.machines.Has(krak.MachineSpec{Quick: true}.Fingerprint()) {
-		t.Error("request was not served by the quick machine")
+	_, outcome, err := s.machines.Get(krak.MachineSpec{Quick: true}.Fingerprint(), func() (*krak.Machine, error) {
+		return nil, errors.New("quick machine not cached")
+	})
+	if err != nil || outcome != engine.Hit {
+		t.Errorf("request was not served by the quick machine: outcome=%v err=%v", outcome, err)
 	}
 }
 
@@ -397,7 +371,7 @@ func TestInvalidSpecsDoNotConsumeMachineCap(t *testing.T) {
 // canceled first requester cannot fail the strangers coalesced onto its
 // computation.
 func TestCoalescedWaitersSurviveCancel(t *testing.T) {
-	s := quickServer(func(c *Config) { c.BatchWindow = 100 * time.Millisecond })
+	s := quickServer()
 	ctx, cancel := context.WithCancel(context.Background())
 	first := httptest.NewRequest(http.MethodPost, "/v1/predict",
 		strings.NewReader(`{"deck":"small","pes":4}`)).WithContext(ctx)

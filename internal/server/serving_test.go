@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -100,8 +101,6 @@ func TestHealthzAgreesWithMetrics(t *testing.T) {
 		"cache_len":          "krak_response_cache_entries",
 		"cache_cap":          "krak_response_cache_capacity",
 		"machines":           "krak_machines",
-		"batches":            "krak_batches_total",
-		"batched_jobs":       "krak_batched_jobs_total",
 		"parallelism":        "krak_parallelism",
 		"partition_computes": "krak_partition_computes_total",
 	}
@@ -124,24 +123,66 @@ func TestHealthzAgreesWithMetrics(t *testing.T) {
 // coalesced (zero hits — nothing was in the finished cache), and only
 // the repeat afterwards is a hit.
 func TestCacheOutcomeCountsPinned(t *testing.T) {
-	// A wide batch window keeps the first request's fill in flight while
-	// the rest of the burst arrives.
-	s := quickServer(func(c *Config) { c.BatchWindow = 300 * time.Millisecond })
+	s := quickServer()
+	const body = `{"deck":"small","pes":4}`
+	// The burst's first request opens the fill through the handler's own
+	// counting path, cachedResult, and holds it in flight until the rest
+	// of the burst has arrived; a predict fill alone is too quick to
+	// overlap deterministically.
+	var req krak.PredictRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	req = req.Normalized()
+	ms, err := s.resolveSpec(req.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Machine = ms
+	sc, err := req.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.machineFor(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	first := make(chan int)
+	go func() {
+		w := httptest.NewRecorder()
+		s.cachedResult(w, req.CanonicalKey(), func() (*krak.Result, error) {
+			<-release
+			sess, err := krak.NewSession(m, sc)
+			if err != nil {
+				return nil, err
+			}
+			return sess.Predict()
+		})
+		first <- w.Code
+	}()
+	for s.responses.Len() == 0 { // the fill is registered once Len counts it
+		time.Sleep(time.Millisecond)
+	}
+
 	const n = 6
-	var wg sync.WaitGroup
+	var wg, arrived sync.WaitGroup
 	results := make([]int, n)
-	for i := 0; i < n; i++ {
+	for i := 1; i < n; i++ {
 		wg.Add(1)
+		arrived.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = post(t, s, "/v1/predict", `{"deck":"small","pes":4}`).Code
+			arrived.Done() // next is the request; the fill is still blocked
+			results[i] = post(t, s, "/v1/predict", body).Code
 		}(i)
-		if i == 0 {
-			// Give the first request time to open the fill, so the rest
-			// deterministically coalesce instead of racing it.
-			time.Sleep(60 * time.Millisecond)
-		}
 	}
+	// The fill cannot complete before release, so a settle window after
+	// every request has started puts them all on the in-flight path.
+	arrived.Wait()
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	results[0] = <-first
 	wg.Wait()
 	for i, code := range results {
 		if code != http.StatusOK {
@@ -151,7 +192,7 @@ func TestCacheOutcomeCountsPinned(t *testing.T) {
 	if m, c, h := s.cacheMisses.Load(), s.cacheCoalesced.Load(), s.cacheHits.Load(); m != 1 || c != n-1 || h != 0 {
 		t.Fatalf("burst counts: misses=%d coalesced=%d hits=%d, want 1/%d/0", m, c, h, n-1)
 	}
-	post(t, s, "/v1/predict", `{"deck":"small","pes":4}`)
+	post(t, s, "/v1/predict", body)
 	if m, c, h := s.cacheMisses.Load(), s.cacheCoalesced.Load(), s.cacheHits.Load(); m != 1 || c != n-1 || h != 1 {
 		t.Fatalf("after repeat: misses=%d coalesced=%d hits=%d, want 1/%d/1", m, c, h, n-1)
 	}
