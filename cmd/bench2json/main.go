@@ -13,6 +13,12 @@
 // the benchmarks only one side has. CI prints the diff of every run
 // against the checked-in baseline so regressions surface in the job log,
 // not just the artifact.
+//
+// When every benchmark line of a run carries the same -N GOMAXPROCS
+// suffix, it is stripped from the names and recorded as procs, so runs
+// at different CPU counts still pair up row by row. Alloc counts do not
+// depend on the CPU count and always diff; ns/op deltas between runs at
+// different procs are labeled as such.
 package main
 
 import (
@@ -34,6 +40,10 @@ type Result struct {
 	NsPerOp    float64 `json:"ns_per_op,omitempty"`
 	BPerOp     float64 `json:"b_per_op,omitempty"`
 	AllocsSPer float64 `json:"allocs_per_op,omitempty"`
+
+	// Procs is the GOMAXPROCS the run's names carried as a -N suffix;
+	// absent (0) means 1, the suffix-less go test output.
+	Procs int `json:"procs,omitempty"`
 }
 
 // Artifact is the archived document.
@@ -90,10 +100,32 @@ func loadArtifact(path string) (*Artifact, error) {
 	return &art, nil
 }
 
-// benchKey identifies a benchmark across artifacts. The name keeps its
-// -N GOMAXPROCS suffix; runs from machines with different CPU counts
-// compare as missing rather than as misleading deltas.
+// splitProcs strips a -N GOMAXPROCS suffix shared by every result's name
+// and records N as the results' Procs. When the suffixes differ (a
+// suffix-less run whose names merely end in digits), the names are left
+// as they are.
+func splitProcs(rs []Result) {
+	procs := 0
+	for _, r := range rs {
+		i := strings.LastIndexByte(r.Name, '-')
+		n, err := strconv.Atoi(r.Name[i+1:])
+		if i < 0 || err != nil || n < 1 || (procs != 0 && n != procs) {
+			return
+		}
+		procs = n
+	}
+	suffix := "-" + strconv.Itoa(procs)
+	for i := range rs {
+		rs[i].Name = strings.TrimSuffix(rs[i].Name, suffix)
+		rs[i].Procs = procs
+	}
+}
+
+// benchKey identifies a benchmark across artifacts by its bare name.
 func benchKey(r Result) string { return r.Pkg + "." + r.Name }
+
+// procs is a result's GOMAXPROCS, with absent meaning 1.
+func procs(r Result) int { return max(r.Procs, 1) }
 
 // fmtNs renders a ns/op value with a human unit.
 func fmtNs(ns float64) string {
@@ -161,9 +193,13 @@ func diffFiles(oldPath, newPath string) (string, error) {
 		if !ok {
 			continue
 		}
+		nsDelta := fmtDelta(or.NsPerOp, nr.NsPerOp)
+		if procs(or) != procs(nr) {
+			nsDelta += fmt.Sprintf(" (procs %d→%d)", procs(or), procs(nr))
+		}
 		rows = append(rows, []string{
 			label(nr),
-			fmtNs(or.NsPerOp), fmtNs(nr.NsPerOp), fmtDelta(or.NsPerOp, nr.NsPerOp),
+			fmtNs(or.NsPerOp), fmtNs(nr.NsPerOp), nsDelta,
 			fmt.Sprintf("%.0f", or.AllocsSPer), fmt.Sprintf("%.0f", nr.AllocsSPer), fmtDelta(or.AllocsSPer, nr.AllocsSPer),
 		})
 	}
@@ -235,6 +271,7 @@ func parse(sc *bufio.Scanner) (*Artifact, error) {
 		//krakcheck:ignore boundedparse input is trusted `make bench` output from the local toolchain, one small record per benchmark line
 		art.Results = append(art.Results, r)
 	}
+	splitProcs(art.Results)
 	return art, sc.Err()
 }
 

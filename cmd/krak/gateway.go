@@ -86,7 +86,7 @@ func runGateway(args []string) error {
 	g.Start(ctx)
 	defer g.Close()
 
-	srv := &http.Server{Addr: *addr, Handler: g}
+	srv := newHTTPServer(*addr, g)
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "krak gateway listening on %s, %d replicas\n", *addr, len(cfg.Replicas))

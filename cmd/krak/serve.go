@@ -15,6 +15,22 @@ import (
 	"krak/internal/server"
 )
 
+// Listener timeouts shared by `krak serve` and `krak gateway`: a client
+// has readHeaderTimeout to send its request headers, and a kept-alive
+// connection with no request in flight is closed after idleTimeout.
+// There is deliberately no WriteTimeout (or ReadTimeout): long sweeps
+// stream their results for as long as they legitimately run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the http.Server both listeners run, with the shared
+// timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // loadFaultPlan reads and parses a -fault-plan file into an Injector.
 // It refuses to arm unless -allow-faults acknowledges that the plan
 // deliberately breaks responses — chaos can never ship on by accident.
@@ -103,7 +119,7 @@ func runServe(args []string) error {
 		return err
 	}
 	defer h.Close()
-	srv := &http.Server{Addr: *addr, Handler: h}
+	srv := newHTTPServer(*addr, h)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

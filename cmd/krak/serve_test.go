@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -94,5 +95,21 @@ func TestRunServeGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("serve did not shut down on SIGTERM")
+	}
+}
+
+// TestListenerTimeouts pins the timeouts both listeners share: bounded
+// header reads and idle keep-alives, and no write or whole-request read
+// deadline that would cut a long streaming sweep short.
+func TestListenerTimeouts(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v; want none (sweeps stream)", srv.WriteTimeout, srv.ReadTimeout)
 	}
 }

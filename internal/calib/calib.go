@@ -18,9 +18,11 @@
 // over all observations i: a compute-rate multiplier relative to the
 // baseline cost tables, an effective per-message latency, an effective
 // per-byte cost (1/bandwidth), and a fixed per-iteration overhead.
-// Fit reports per-parameter standard errors, the coefficient of
-// determination, and residuals; CrossValidateForm adds k-fold
-// generalization error. Feature extraction itself lives with the façade
+// That model is the zoo's "linear" form (FormByName(FormLinear)); its
+// FormFit reports per-parameter standard errors, the coefficient of
+// determination, and residuals, and CrossValidateForm adds k-fold
+// generalization error. Every form, the linear one included, is solved
+// by one column-equilibrated Householder-QR least-squares routine. Feature extraction itself lives with the façade
 // (pkg/krak), which owns decks, calibrated cost curves, and network
 // models; this package is the numerical core plus the bounded textual
 // dataset format.
@@ -28,7 +30,7 @@ package calib
 
 import "errors"
 
-// ErrDegenerate is returned by Fit when no parameter subset can be
-// resolved from the observations (e.g. every feature is zero, or there
-// are no observations at all).
+// ErrDegenerate is returned when a form cannot be resolved from the
+// observations (e.g. every feature is zero, or there are no observations
+// at all).
 var ErrDegenerate = errors.New("calib: dataset is degenerate; parameters are unresolvable")

@@ -1,11 +1,10 @@
 package calib
 
 import (
+	"errors"
 	"fmt"
 	"math"
-
-	"krak/internal/linalg"
-	"krak/internal/stats"
+	"slices"
 )
 
 // Features are the baseline-model descriptors of one observation, computed
@@ -47,182 +46,83 @@ const (
 	termFixed    = "fixed"
 )
 
-// termSubsets are the fall-back ladder of term combinations Fit tries, in
-// order: the full model first, then progressively coarser models for
-// datasets whose observations cannot resolve every parameter (too few
-// points, or features that never vary independently).
-var termSubsets = [][]string{
-	{termCompute, termMessages, termBytes, termFixed},
-	{termCompute, termMessages, termBytes},
-	{termCompute, termMessages},
-	{termCompute, termFixed},
-	{termCompute},
+// linearTerms names the linear form's coefficients in Coeffs order.
+var linearTerms = []string{termCompute, termMessages, termBytes, termFixed}
+
+// termSubsets are the fall-back ladder of term combinations the linear
+// form tries, in order: the full model first, then progressively coarser
+// models for datasets whose observations cannot resolve every parameter
+// (too few points, or features that never vary independently). Entries
+// index linearTerms.
+var termSubsets = [][]int{
+	{0, 1, 2, 3},
+	{0, 1, 2},
+	{0, 1},
+	{0, 3},
+	{0},
 }
 
-// column returns the design-matrix entry of one term for one observation.
-func column(term string, f Features) float64 {
-	switch term {
-	case termCompute:
-		return f.Compute
-	case termMessages:
-		return f.Messages
-	case termBytes:
-		return f.Bytes
-	case termFixed:
-		return 1
-	}
-	panic("calib: unknown term " + term)
+// linearColumns are the design columns of linearTerms.
+var linearColumns = []func(Features) float64{
+	func(f Features) float64 { return f.Compute },
+	func(f Features) float64 { return f.Messages },
+	func(f Features) float64 { return f.Bytes },
+	func(Features) float64 { return 1 },
 }
 
-// FitResult reports a least-squares calibration: the fitted parameters,
-// their standard errors (zero for terms the fall-back ladder dropped or
-// when the fit leaves no degrees of freedom), the terms actually fitted,
-// and the fit quality over the observations.
-type FitResult struct {
-	Params Params
-	StdErr Params
-	Terms  []string
+// linearForm is the paper's linear model as a ModelForm. When the full
+// four-term system is rank deficient it retries the coarser termSubsets
+// (dropped terms fit as zero); ErrDegenerate is returned when even the
+// compute-only model cannot be resolved.
+type linearForm struct{}
 
-	// R2 is the coefficient of determination of the fit.
-	R2 float64
-
-	// RMSE is the root-mean-square residual in seconds.
-	RMSE float64
-
-	// Residuals[i] is observed minus fitted seconds for observation i.
-	Residuals []float64
-
-	// N is the observation count.
-	N int
+func (linearForm) Name() string { return FormLinear }
+func (linearForm) Coeffs() int  { return 4 }
+func (linearForm) Describe() string {
+	return "T = scale*C + lat*M + perbyte*B + fixed (the paper's model)"
 }
 
-// Fit solves the linear timing model by Householder-QR least squares over
-// the aligned times and features. When the full four-term system is rank
-// deficient it retries progressively coarser term subsets (see Params for
-// the model); ErrDegenerate is returned when even the compute-only model
-// cannot be resolved.
-func Fit(times []float64, feats []Features) (*FitResult, error) {
+func (linearForm) Fit(times []float64, feats []Features) (*FormFit, error) {
 	if len(times) != len(feats) {
 		return nil, fmt.Errorf("calib: %d times vs %d feature rows", len(times), len(feats))
 	}
-	n := len(times)
-	if n == 0 {
-		return nil, ErrDegenerate
-	}
 	for _, terms := range termSubsets {
-		k := len(terms)
-		if n < k {
-			continue
+		cols := make([]func(Features) float64, len(terms))
+		for j, t := range terms {
+			cols[j] = linearColumns[t]
 		}
-		a := linalg.NewMatrix(n, k)
-		for i, f := range feats {
-			for j, term := range terms {
-				a.Set(i, j, column(term, f))
-			}
-		}
-		x, err := linalg.LeastSquares(a, times)
-		if err == linalg.ErrSingular {
+		x, invGram, err := solveDesign(times, feats, cols)
+		if errors.Is(err, ErrDegenerate) {
 			continue
 		}
 		if err != nil {
-			return nil, fmt.Errorf("calib: least squares: %w", err)
+			return nil, err
 		}
-		return assemble(terms, x, a, times, feats), nil
+		ff := &FormFit{
+			Form:   FormLinear,
+			Terms:  slices.Clone(linearTerms),
+			Coeffs: make([]float64, len(linearTerms)),
+			StdErr: make([]float64, len(linearTerms)),
+		}
+		for j, t := range terms {
+			ff.Coeffs[t] = x[j]
+		}
+		ff.finish(times, feats)
+
+		// Standard errors sqrt(sigma² * (A'A)⁻¹_jj) with sigma² =
+		// SSR/(n-k) over the k fitted terms; zero when no degrees of
+		// freedom are spare.
+		if n, k := len(times), len(terms); n > k {
+			var ssr float64
+			for _, r := range ff.Residuals {
+				ssr += r * r
+			}
+			sigma2 := ssr / float64(n-k)
+			for j, t := range terms {
+				ff.StdErr[t] = math.Sqrt(sigma2 * invGram[j])
+			}
+		}
+		return ff, nil
 	}
 	return nil, ErrDegenerate
-}
-
-// assemble maps a term-subset solution back onto Params and computes the
-// quality report.
-func assemble(terms []string, x []float64, a *linalg.Matrix, times []float64, feats []Features) *FitResult {
-	fr := &FitResult{Terms: terms, N: len(times)}
-	setParam(&fr.Params, terms, x)
-
-	// Residuals, RMSE, R².
-	fr.Residuals = make([]float64, len(times))
-	var ssr float64
-	for i, f := range feats {
-		fr.Residuals[i] = times[i] - fr.Params.Predict(f)
-		ssr += fr.Residuals[i] * fr.Residuals[i]
-	}
-	fr.RMSE = math.Sqrt(ssr / float64(len(times)))
-	mean := stats.Mean(times)
-	var sst float64
-	for _, t := range times {
-		sst += (t - mean) * (t - mean)
-	}
-	switch {
-	case sst > 0:
-		fr.R2 = 1 - ssr/sst
-	case ssr == 0:
-		fr.R2 = 1
-	}
-
-	// Per-parameter standard errors: sqrt(sigma² * (X'X)⁻¹_jj) with
-	// sigma² = SSR/(n-k). Left at zero when there are no spare degrees of
-	// freedom or X'X is numerically singular.
-	n, k := len(times), len(terms)
-	if n > k {
-		sigma2 := ssr / float64(n-k)
-		xtx := linalg.NewMatrix(k, k)
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				var s float64
-				for r := 0; r < n; r++ {
-					s += a.At(r, i) * a.At(r, j)
-				}
-				xtx.Set(i, j, s)
-			}
-		}
-		se := make([]float64, k)
-		ok := true
-		for j := 0; j < k; j++ {
-			e := make([]float64, k)
-			e[j] = 1
-			z, err := linalg.SolveLU(xtx, e)
-			if err != nil || z[j] < 0 {
-				ok = false
-				break
-			}
-			se[j] = math.Sqrt(sigma2 * z[j])
-		}
-		if ok {
-			setParam(&fr.StdErr, terms, se)
-		}
-	}
-	return fr
-}
-
-// setParam scatters a term-subset vector into the named Params fields.
-func setParam(p *Params, terms []string, x []float64) {
-	for j, term := range terms {
-		switch term {
-		case termCompute:
-			p.ComputeScale = x[j]
-		case termMessages:
-			p.LatencySec = x[j]
-		case termBytes:
-			p.ByteSec = x[j]
-		case termFixed:
-			p.FixedSec = x[j]
-		}
-	}
-}
-
-// Synthesize generates observation times from known parameters over the
-// given features, with optional multiplicative noise of relative amplitude
-// noiseFrac drawn from a seeded deterministic stream — the ground-truth
-// generator the property tests (and any "can the fit recover a known
-// machine" experiment) build on.
-func Synthesize(p Params, feats []Features, noiseFrac float64, seed uint64) []float64 {
-	rng := stats.Derive(seed, 0xca11b)
-	out := make([]float64, len(feats))
-	for i, f := range feats {
-		t := p.Predict(f)
-		if noiseFrac != 0 {
-			t *= 1 + noiseFrac*rng.Sym()
-		}
-		out[i] = t
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package calib
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"krak/internal/stats"
@@ -36,6 +37,17 @@ func drawFeatures(rng *stats.SplitMix64, n int) []Features {
 	return out
 }
 
+// fitted counts the linear coefficients the fall-back ladder kept.
+func fitted(ff *FormFit) int {
+	n := 0
+	for _, c := range ff.Coeffs {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // relErr is |got-want|/|want| with a zero-want guard.
 func relErr(got, want float64) float64 {
 	if want == 0 {
@@ -55,16 +67,16 @@ func TestFitRecoversKnownParamsExact(t *testing.T) {
 		rng := stats.Derive(0xdeadbeef, uint64(draw))
 		want := drawParams(rng)
 		feats := drawFeatures(rng, 40)
-		times := Synthesize(want, feats, 0, uint64(draw))
+		times := SynthesizeFrom(want.Predict, feats, 0, uint64(draw))
 
-		fr, err := Fit(times, feats)
+		fr, err := (linearForm{}).Fit(times, feats)
 		if err != nil {
 			t.Fatalf("draw %d: %v", draw, err)
 		}
-		if len(fr.Terms) != 4 {
-			t.Fatalf("draw %d: fell back to terms %v", draw, fr.Terms)
+		if slices.Contains(fr.Coeffs, 0) {
+			t.Fatalf("draw %d: fell back to a coarser model: %v", draw, fr.Coeffs)
 		}
-		got := fr.Params
+		got, _ := fr.LinearParams()
 		checks := []struct {
 			name      string
 			got, want float64
@@ -97,24 +109,25 @@ func TestFitRecoversKnownParamsNoisy(t *testing.T) {
 		rng := stats.Derive(0xabad1dea, uint64(draw))
 		want := drawParams(rng)
 		feats := drawFeatures(rng, 64)
-		times := Synthesize(want, feats, 0.02, uint64(draw))
+		times := SynthesizeFrom(want.Predict, feats, 0.02, uint64(draw))
 
-		fr, err := Fit(times, feats)
+		fr, err := (linearForm{}).Fit(times, feats)
 		if err != nil {
 			t.Fatalf("draw %d: %v", draw, err)
 		}
-		if relErr(fr.Params.ComputeScale, want.ComputeScale) > tol {
-			t.Errorf("draw %d: compute scale %.4g, want %.4g", draw, fr.Params.ComputeScale, want.ComputeScale)
+		got, _ := fr.LinearParams()
+		if relErr(got.ComputeScale, want.ComputeScale) > tol {
+			t.Errorf("draw %d: compute scale %.4g, want %.4g", draw, got.ComputeScale, want.ComputeScale)
 		}
-		if relErr(fr.Params.LatencySec, want.LatencySec) > tol {
-			t.Errorf("draw %d: latency %.4g, want %.4g", draw, fr.Params.LatencySec, want.LatencySec)
+		if relErr(got.LatencySec, want.LatencySec) > tol {
+			t.Errorf("draw %d: latency %.4g, want %.4g", draw, got.LatencySec, want.LatencySec)
 		}
 		// The standard error must be a plausible uncertainty: nonzero, and
 		// the realized error should rarely exceed ~6 sigma.
-		if fr.StdErr.ComputeScale <= 0 {
+		if se := fr.StdErr[0]; se <= 0 {
 			t.Errorf("draw %d: zero stderr on compute scale", draw)
-		} else if e := math.Abs(fr.Params.ComputeScale - want.ComputeScale); e > 6*fr.StdErr.ComputeScale {
-			t.Errorf("draw %d: compute-scale error %.3g exceeds 6 sigma (%.3g)", draw, e, fr.StdErr.ComputeScale)
+		} else if e := math.Abs(got.ComputeScale - want.ComputeScale); e > 6*se {
+			t.Errorf("draw %d: compute-scale error %.3g exceeds 6 sigma (%.3g)", draw, e, se)
 		}
 	}
 }
@@ -131,12 +144,12 @@ func TestFitFallbackLadder(t *testing.T) {
 		{Compute: 0.4, Messages: 100, Bytes: 1e6},
 	}
 	times := []float64{0.15, 0.25, 0.45}
-	fr, err := Fit(times, feats)
+	fr, err := (linearForm{}).Fit(times, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fr.Terms) == 4 {
-		t.Fatalf("constant messages/bytes columns fitted as full model: %v", fr.Terms)
+	if fitted(fr) == 4 {
+		t.Fatalf("constant messages/bytes columns fitted as full model: %v", fr.Coeffs)
 	}
 	for _, res := range fr.Residuals {
 		if math.Abs(res) > 1e-9 {
@@ -145,34 +158,35 @@ func TestFitFallbackLadder(t *testing.T) {
 	}
 
 	// Two observations can still resolve a two-term model.
-	fr2, err := Fit(times[:2], feats[:2])
+	fr2, err := (linearForm{}).Fit(times[:2], feats[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fr2.Terms) > 2 {
-		t.Errorf("2 observations fitted %d terms", len(fr2.Terms))
+	if fitted(fr2) > 2 {
+		t.Errorf("2 observations fitted %d terms", fitted(fr2))
 	}
 
-	// A single nonzero-compute observation resolves compute only.
-	fr1, err := Fit([]float64{0.2}, []Features{{Compute: 0.1}})
+	// A single nonzero-compute observation resolves compute only, with no
+	// degrees of freedom left for a standard error.
+	fr1, err := (linearForm{}).Fit([]float64{0.2}, []Features{{Compute: 0.1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fr1.Terms) != 1 || fr1.Params.ComputeScale != 2 {
-		t.Errorf("single-point fit: terms %v scale %g", fr1.Terms, fr1.Params.ComputeScale)
+	if fitted(fr1) != 1 || fr1.Coeffs[0] != 2 || fr1.StdErr[0] != 0 {
+		t.Errorf("single-point fit: coeffs %v stderr %v", fr1.Coeffs, fr1.StdErr)
 	}
 }
 
 // TestFitDegenerate pins the error contract for unresolvable datasets.
 func TestFitDegenerate(t *testing.T) {
-	if _, err := Fit(nil, nil); err != ErrDegenerate {
+	if _, err := (linearForm{}).Fit(nil, nil); err != ErrDegenerate {
 		t.Errorf("empty fit: %v", err)
 	}
 	// All-zero features: no subset has full rank.
-	if _, err := Fit([]float64{1, 2}, make([]Features, 2)); err != ErrDegenerate {
+	if _, err := (linearForm{}).Fit([]float64{1, 2}, make([]Features, 2)); err != ErrDegenerate {
 		t.Errorf("zero-feature fit: %v", err)
 	}
-	if _, err := Fit([]float64{1, 2}, make([]Features, 3)); err == nil {
+	if _, err := (linearForm{}).Fit([]float64{1, 2}, make([]Features, 3)); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
@@ -184,7 +198,7 @@ func TestCrossValidate(t *testing.T) {
 	rng := stats.Derive(7, 7)
 	want := drawParams(rng)
 	feats := drawFeatures(rng, 30)
-	times := Synthesize(want, feats, 0, 7)
+	times := SynthesizeFrom(want.Predict, feats, 0, 7)
 
 	cv, err := CrossValidateForm(times, feats, 5, 42, linearForm{})
 	if err != nil {
@@ -222,7 +236,7 @@ func TestCrossValidateNoisy(t *testing.T) {
 	rng := stats.Derive(11, 3)
 	want := drawParams(rng)
 	feats := drawFeatures(rng, 60)
-	times := Synthesize(want, feats, 0.02, 11)
+	times := SynthesizeFrom(want.Predict, feats, 0.02, 11)
 
 	cv, err := CrossValidateForm(times, feats, 4, 9, linearForm{})
 	if err != nil {
@@ -236,5 +250,49 @@ func TestCrossValidateNoisy(t *testing.T) {
 	}
 	if cv.MaxAPE < cv.MAPE {
 		t.Errorf("max APE %.3g below mean %.3g", cv.MaxAPE, cv.MAPE)
+	}
+}
+
+// TestFitKeepsTermsAcrossFeatureScales is the equilibration regression:
+// byte features of 1e9–1e12 next to compute of ~0.1 s put twelve orders
+// of magnitude between design columns. An unscaled QR rank test, relative
+// to the largest column, reads the compute and fixed columns as
+// degenerate and falls back to a coarser model that drops real terms; the
+// scaled solve must keep all four and recover them.
+func TestFitKeepsTermsAcrossFeatureScales(t *testing.T) {
+	want := Params{ComputeScale: 1.3, LatencySec: 5e-6, ByteSec: 1e-12, FixedSec: 2e-3}
+	rng := stats.Derive(0x5ca1e, 0)
+	feats := make([]Features, 40)
+	for i := range feats {
+		feats[i] = Features{
+			Compute:  (0.5 + rng.Float64()) * 0.1,
+			Messages: 100 * math.Pow(100, rng.Float64()),
+			Bytes:    1e9 * math.Pow(1000, rng.Float64()),
+		}
+	}
+	for _, noise := range []float64{0, 0.01} {
+		times := SynthesizeFrom(want.Predict, feats, noise, 1)
+		fr, err := (linearForm{}).Fit(times, feats)
+		if err != nil {
+			t.Fatalf("noise=%g: %v", noise, err)
+		}
+		if fitted(fr) != 4 {
+			t.Fatalf("noise=%g: fell back to a coarser model: %v", noise, fr.Coeffs)
+		}
+		got, _ := fr.LinearParams()
+		tol := 1e-6
+		if noise > 0 {
+			tol = 0.05
+		}
+		if relErr(got.ComputeScale, want.ComputeScale) > tol {
+			t.Errorf("noise=%g: compute scale %.6g, want %.6g", noise, got.ComputeScale, want.ComputeScale)
+		}
+		if noise == 0 {
+			for j, w := range []float64{want.ComputeScale, want.LatencySec, want.ByteSec, want.FixedSec} {
+				if relErr(fr.Coeffs[j], w) > tol {
+					t.Errorf("%s: %.6g, want %.6g", fr.Terms[j], fr.Coeffs[j], w)
+				}
+			}
+		}
 	}
 }

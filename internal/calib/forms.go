@@ -84,6 +84,12 @@ type FormFit struct {
 	// (see each form's Describe).
 	Coeffs []float64
 
+	// StdErr are the linear form's per-coefficient standard errors, in
+	// Coeffs order: zero for terms the fall-back ladder dropped, and all
+	// zero when the fit leaves no spare degrees of freedom. Nil for every
+	// other form.
+	StdErr []float64
+
 	// Breakpoint is the piecewise form's message-size split in bytes per
 	// message; zero for every other form.
 	Breakpoint float64
@@ -199,15 +205,22 @@ func (ff *FormFit) finish(times []float64, feats []Features) {
 }
 
 // solveDesign runs one Householder-QR least-squares solve over explicit
-// design columns. Columns are equilibrated to unit norm before the
-// solve: the zoo mixes columns of wildly different magnitudes (compute
-// seconds ~0.1 against messages×bytes products ~1e11), and without
-// scaling the QR rank test — relative to the largest column — would
-// flag the small ones as degenerate.
-func solveDesign(times []float64, feats []Features, cols []func(Features) float64) ([]float64, error) {
+// design columns — the one solver every form, and every rung of the
+// linear form's fall-back ladder, goes through. It returns the
+// coefficients and diag((A'A)⁻¹), the per-unit-variance coefficient
+// variances standard errors are built from.
+//
+// Each column is first scaled by the power of two nearest its norm. The
+// zoo mixes columns of wildly different magnitudes (compute seconds ~0.1
+// against bytes ~1e9 or messages×bytes products ~1e11), and without
+// scaling the QR rank test — relative to the largest column — would flag
+// the small ones as degenerate. A power-of-two scale is exact in floating
+// point, so wherever the rank decision agrees the coefficients are
+// bit-identical to an unscaled solve.
+func solveDesign(times []float64, feats []Features, cols []func(Features) float64) (x, invGram []float64, err error) {
 	n, k := len(times), len(cols)
 	if n < k {
-		return nil, ErrDegenerate
+		return nil, nil, ErrDegenerate
 	}
 	a := linalg.NewMatrix(n, k)
 	for i, f := range feats {
@@ -215,56 +228,36 @@ func solveDesign(times []float64, feats []Features, cols []func(Features) float6
 			a.Set(i, j, col(f))
 		}
 	}
-	norms := make([]float64, k)
+	exps := make([]int, k)
 	for j := 0; j < k; j++ {
 		var s float64
 		for i := 0; i < n; i++ {
 			s += a.At(i, j) * a.At(i, j)
 		}
-		norms[j] = math.Sqrt(s)
-		if norms[j] == 0 {
-			return nil, ErrDegenerate
+		if s == 0 {
+			return nil, nil, ErrDegenerate
 		}
+		_, exps[j] = math.Frexp(math.Sqrt(s))
 		for i := 0; i < n; i++ {
-			a.Set(i, j, a.At(i, j)/norms[j])
+			a.Set(i, j, math.Ldexp(a.At(i, j), -exps[j]))
 		}
 	}
-	x, err := linalg.LeastSquares(a, times)
+	qr, err := linalg.FactorQR(a)
+	if err == nil {
+		x, err = qr.Solve(times)
+	}
 	if err == linalg.ErrSingular {
-		return nil, ErrDegenerate
+		return nil, nil, ErrDegenerate
 	}
 	if err != nil {
-		return nil, fmt.Errorf("calib: least squares: %w", err)
+		return nil, nil, fmt.Errorf("calib: least squares: %w", err)
 	}
+	invGram = qr.InvGramDiag()
 	for j := range x {
-		x[j] /= norms[j]
+		x[j] = math.Ldexp(x[j], -exps[j])
+		invGram[j] = math.Ldexp(invGram[j], -2*exps[j])
 	}
-	return x, nil
-}
-
-// linearForm wraps the paper's linear model (and its rank-deficiency
-// fall-back ladder) as a ModelForm.
-type linearForm struct{}
-
-func (linearForm) Name() string { return FormLinear }
-func (linearForm) Coeffs() int  { return 4 }
-func (linearForm) Describe() string {
-	return "T = scale*C + lat*M + perbyte*B + fixed (the paper's model)"
-}
-
-func (linearForm) Fit(times []float64, feats []Features) (*FormFit, error) {
-	fr, err := Fit(times, feats)
-	if err != nil {
-		return nil, err
-	}
-	p := fr.Params
-	ff := &FormFit{
-		Form:   FormLinear,
-		Terms:  []string{termCompute, termMessages, termBytes, termFixed},
-		Coeffs: []float64{p.ComputeScale, p.LatencySec, p.ByteSec, p.FixedSec},
-	}
-	ff.finish(times, feats)
-	return ff, nil
+	return x, invGram, nil
 }
 
 // loglogForm is the power-law model fitted in the log domain; quality
@@ -289,7 +282,7 @@ func (loglogForm) Fit(times []float64, feats []Features) (*FormFit, error) {
 	for i, t := range times {
 		logT[i] = math.Log(t)
 	}
-	x, err := solveDesign(logT, feats, []func(Features) float64{
+	x, _, err := solveDesign(logT, feats, []func(Features) float64{
 		func(Features) float64 { return 1 },
 		func(f Features) float64 { return math.Log(f.Compute) },
 		func(f Features) float64 { return math.Log(f.Messages) },
@@ -318,7 +311,7 @@ func (interactForm) Describe() string {
 }
 
 func (interactForm) Fit(times []float64, feats []Features) (*FormFit, error) {
-	x, err := solveDesign(times, feats, []func(Features) float64{
+	x, _, err := solveDesign(times, feats, []func(Features) float64{
 		func(f Features) float64 { return f.Compute },
 		func(f Features) float64 { return f.Messages },
 		func(f Features) float64 { return f.Bytes },
@@ -386,7 +379,7 @@ func (piecewiseForm) Fit(times []float64, feats []Features) (*FormFit, error) {
 			}
 			return 0
 		}
-		x, err := solveDesign(times, feats, []func(Features) float64{
+		x, _, err := solveDesign(times, feats, []func(Features) float64{
 			func(f Features) float64 { return f.Compute },
 			func(f Features) float64 { return f.Messages * lo(f) },
 			func(f Features) float64 { return f.Bytes * lo(f) },
@@ -441,9 +434,10 @@ func breakpointCandidates(sizes []float64) []float64 {
 }
 
 // SynthesizeFrom generates observation times from an arbitrary predictor
-// over the given features, with optional seeded multiplicative noise —
-// Synthesize generalized to any model form, the ground-truth generator
-// the selection property tests build on.
+// over the given features, with optional multiplicative noise of relative
+// amplitude noiseFrac drawn from a seeded deterministic stream — the
+// ground-truth generator the recovery and selection property tests build
+// on (pass Params.Predict for the linear model).
 func SynthesizeFrom(predict func(Features) float64, feats []Features, noiseFrac float64, seed uint64) []float64 {
 	rng := stats.Derive(seed, 0xca11b)
 	out := make([]float64, len(feats))

@@ -120,6 +120,24 @@ func SelectModel(times []float64, feats []Features, k int, seed uint64) (*Select
 	return sel, nil
 }
 
+// CVStats reports a k-fold cross-validation of the fitted model: each
+// fold is held out once, the model is fitted on the rest, and the held-out
+// observations are scored against the fold's predictions.
+type CVStats struct {
+	// Folds is the number of folds actually used.
+	Folds int `json:"folds"`
+
+	// RMSE is the root-mean-square held-out prediction error in seconds.
+	RMSE float64 `json:"rmse_s"`
+
+	// MAPE is the mean absolute held-out prediction error relative to the
+	// observed time.
+	MAPE float64 `json:"mape"`
+
+	// MaxAPE is the worst single held-out relative error.
+	MaxAPE float64 `json:"max_ape"`
+}
+
 // CrossValidateForm cross-validates a single form with the same seeded
 // fold assignment SelectModel scores every candidate on, so a report for
 // an explicitly chosen form matches its scoreboard row.

@@ -216,7 +216,7 @@ type phaseCoeffs struct {
 // solvePhase solves t_j = a + sum_m b_m n_jm over all processors j by QR
 // least squares. If the system is rank deficient (e.g. every processor has
 // an identical material mixture), it falls back to the material-independent
-// fit t_j = a + b n_j.
+// fit t_j = a + b n_j, solved the same way.
 func solvePhase(sum *mesh.PartitionSummary, times []float64, presentList []int) (phaseCoeffs, error) {
 	rows := sum.P
 	cols := 1 + len(presentList)
@@ -242,15 +242,16 @@ func solvePhase(sum *mesh.PartitionSummary, times []float64, presentList []int) 
 		}
 	}
 	// Fallback: material-independent regression on total cells.
-	xs := make([]float64, rows)
+	a := linalg.NewMatrix(rows, 2)
 	for pe := 0; pe < rows; pe++ {
-		xs[pe] = float64(sum.TotalCells[pe])
+		a.Set(pe, 0, 1)
+		a.Set(pe, 1, float64(sum.TotalCells[pe]))
 	}
-	fit, err := linalg.FitLinear(xs, times)
+	x, err := linalg.LeastSquares(a, times)
 	if err != nil {
 		// Last resort: all processors identical; treat everything as
 		// per-cell cost with no constant term.
-		n := xs[0]
+		n := float64(sum.TotalCells[0])
 		if n == 0 {
 			return out, fmt.Errorf("core: degenerate calibration campaign")
 		}
@@ -259,9 +260,9 @@ func solvePhase(sum *mesh.PartitionSummary, times []float64, presentList []int) 
 		}
 		return out, nil
 	}
-	out.fixed = fit.A
+	out.fixed = x[0]
 	for _, m := range presentList {
-		out.perCell[m] = fit.B
+		out.perCell[m] = x[1]
 	}
 	return out, nil
 }

@@ -48,8 +48,11 @@ func TestClassify(t *testing.T) {
 		{"plain GET", http.MethodGet, "/v1/experiments", nil, "GET /v1/experiments", true, false},
 		{"predict", http.MethodPost, "/v1/predict", pb, preq.CanonicalKey(), true, true},
 		{"predict bad json", http.MethodPost, "/v1/predict", []byte("{"), "/v1/predict|", true, false},
+		{"predict unknown field", http.MethodPost, "/v1/predict", []byte(`{"deck":"small","pes":4,"bogus":1}`), "/v1/predict|", true, false},
+		{"predict trailing data", http.MethodPost, "/v1/predict", []byte(`{"deck":"small","pes":4} {}`), "/v1/predict|", true, false},
 		{"simulate", http.MethodPost, "/v1/simulate", sb, "", true, true},
 		{"simulate bad json", http.MethodPost, "/v1/simulate", []byte("]"), "/v1/simulate|", true, false},
+		{"simulate unknown field", http.MethodPost, "/v1/simulate", []byte(`{"deck":"small","pes":2,"bogus":1}`), "/v1/simulate|", true, false},
 		{"sweep", http.MethodPost, "/v1/sweep", []byte(`{}`), "/v1/sweep|", true, false},
 		{"compare", http.MethodPost, "/v1/compare", []byte(`{}`), "/v1/compare|", true, false},
 		{"calibrate", http.MethodPost, "/v1/calibrate", []byte(`{}`), "/v1/calibrate|", true, false},
@@ -135,5 +138,28 @@ func TestGatewayDegradedQuickSimulate(t *testing.T) {
 	}
 	if res.Kind != krak.KindSimulate || res.TotalSeconds <= 0 {
 		t.Fatalf("implausible local simulate result: %+v", res)
+	}
+}
+
+// TestGatewayRejectedBodyNotDegraded pins that the degraded tiers only
+// answer bodies a replica would accept: with every replica dead, a
+// predict carrying an unknown field (a replica answers 400) must not
+// come back as a 200 computed locally.
+func TestGatewayRejectedBodyNotDegraded(t *testing.T) {
+	dead := newStubReplica()
+	dead.ts.Close()
+	cfg := testConfig(dead.ts.URL)
+	cfg.Quick = true
+	cfg.LocalFallback = true
+	g, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := post(t, g, "/v1/predict", []byte(`{"deck":"small","pes":4,"bogus":1}`))
+	if rec.Code == http.StatusOK {
+		t.Fatalf("status 200 body %s for a body every replica rejects", rec.Body.String())
+	}
+	if got := rec.Header().Get("Krak-Degraded"); got != "" {
+		t.Fatalf("Krak-Degraded %q on a body every replica rejects", got)
 	}
 }

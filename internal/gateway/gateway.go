@@ -40,6 +40,7 @@ import (
 	"krak/internal/faultinject"
 	"krak/internal/metrics"
 	"krak/internal/stats"
+	"krak/internal/wire"
 	"krak/pkg/krak"
 )
 
@@ -224,8 +225,11 @@ type reqClass struct {
 //
 // Predict and simulate route by their canonical content key (the warm-
 // cache routing the ring exists for) and degrade all the way to local
-// evaluation. Sweep, compare, and calibrate are pure functions of their
-// body, so they route by a body digest and are retried/failed over, but
+// evaluation. Their bodies decode with the replicas' strict rule
+// (wire.Decode); one a replica would reject routes by digest with no
+// degraded tier, so an outage cannot turn a 400 into a 200. Sweep,
+// compare, and calibrate are pure functions of their body, so they
+// route by a body digest and are retried/failed over, but
 // have no degraded tier (too heavy to run locally). Job endpoints all
 // anchor to one ring key — the job store is per-replica state, so
 // submissions and polls must land on the same backend; submission is
@@ -250,7 +254,7 @@ func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
 	switch path {
 	case "/v1/predict":
 		var req krak.PredictRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := wire.Decode(bytes.NewReader(body), &req); err != nil {
 			return reqClass{key: digest(), idempotent: true}
 		}
 		ms, err := g.resolveSpec(req.Machine)
@@ -263,7 +267,7 @@ func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
 			local: func(ctx context.Context) ([]byte, error) { return g.localPredict(req) }}
 	case "/v1/simulate":
 		var req krak.SimulateRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := wire.Decode(bytes.NewReader(body), &req); err != nil {
 			return reqClass{key: digest(), idempotent: true}
 		}
 		ms, err := g.resolveSpec(req.Machine)

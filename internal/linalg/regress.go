@@ -7,56 +7,6 @@ import (
 	"sort"
 )
 
-// LinearFit holds the result of a simple linear regression y = A + B*x.
-type LinearFit struct {
-	A, B float64 // intercept and slope
-	R2   float64 // coefficient of determination
-}
-
-// FitLinear performs an ordinary least-squares fit of y = A + B*x.
-// It requires at least two points with distinct x values.
-func FitLinear(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, fmt.Errorf("linalg: FitLinear length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return LinearFit{}, errors.New("linalg: FitLinear needs at least 2 points")
-	}
-	n := float64(len(xs))
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		dy := ys[i] - my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, errors.New("linalg: FitLinear requires distinct x values")
-	}
-	b := sxy / sxx
-	a := my - b*mx
-	r2 := 1.0
-	if syy > 0 {
-		var ssRes float64
-		for i := range xs {
-			e := ys[i] - (a + b*xs[i])
-			ssRes += e * e
-		}
-		r2 = 1 - ssRes/syy
-	}
-	return LinearFit{A: a, B: b, R2: r2}, nil
-}
-
-// Eval returns the fitted value at x.
-func (f LinearFit) Eval(x float64) float64 { return f.A + f.B*x }
-
 // Piecewise is a continuous piecewise-linear function defined by breakpoints
 // sorted by X. Evaluation outside the breakpoint range extrapolates using the
 // first or last segment (matching how the paper's model interpolates between
@@ -154,15 +104,6 @@ func (p *Piecewise) EvalLog(x float64) float64 {
 	l0, l1 := math.Log(x0), math.Log(x1)
 	t := (lx - l0) / (l1 - l0)
 	return p.ys[i-1] + t*(p.ys[i]-p.ys[i-1])
-}
-
-// Knots returns copies of the breakpoint coordinates.
-func (p *Piecewise) Knots() (xs, ys []float64) {
-	xs = make([]float64, len(p.xs))
-	ys = make([]float64, len(p.ys))
-	copy(xs, p.xs)
-	copy(ys, p.ys)
-	return xs, ys
 }
 
 // Len returns the number of breakpoints.

@@ -7,33 +7,43 @@ import (
 	"testing/quick"
 )
 
+// fitLine fits y = a + b*x through LeastSquares on the columns [1, x],
+// the straight-line fit calibration falls back to when a campaign's
+// material mixtures cannot be told apart.
+func fitLine(xs, ys []float64) (a, b float64, err error) {
+	m := NewMatrix(len(xs), 2)
+	for i, x := range xs {
+		m.Set(i, 0, 1)
+		m.Set(i, 1, x)
+	}
+	c, err := LeastSquares(m, ys)
+	if err != nil {
+		return 0, 0, err
+	}
+	return c[0], c[1], nil
+}
+
 func TestFitLinearExact(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{3, 5, 7, 9} // y = 1 + 2x
-	fit, err := FitLinear(xs, ys)
+	a, b, err := fitLine(xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(fit.A, 1, 1e-12) || !almostEqual(fit.B, 2, 1e-12) {
-		t.Fatalf("fit = %+v, want A=1 B=2", fit)
-	}
-	if !almostEqual(fit.R2, 1, 1e-12) {
-		t.Fatalf("R2 = %v, want 1", fit.R2)
-	}
-	if got := fit.Eval(10); !almostEqual(got, 21, 1e-12) {
-		t.Fatalf("Eval(10) = %v, want 21", got)
+	if !almostEqual(a, 1, 1e-12) || !almostEqual(b, 2, 1e-12) {
+		t.Fatalf("fit = %v + %v x, want 1 + 2x", a, b)
 	}
 }
 
 func TestFitLinearErrors(t *testing.T) {
-	if _, err := FitLinear([]float64{1}, []float64{1}); err == nil {
+	if _, _, err := fitLine([]float64{1}, []float64{1}); err == nil {
 		t.Fatal("single point accepted")
 	}
-	if _, err := FitLinear([]float64{1, 2}, []float64{1}); err == nil {
+	if _, _, err := fitLine([]float64{1, 2}, []float64{1}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := FitLinear([]float64{2, 2}, []float64{1, 3}); err == nil {
-		t.Fatal("degenerate x accepted")
+	if _, _, err := fitLine([]float64{2, 2}, []float64{1, 3}); err != ErrSingular {
+		t.Fatalf("degenerate x: err = %v, want ErrSingular", err)
 	}
 }
 
@@ -45,15 +55,12 @@ func TestFitLinearNoisy(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, 4+0.5*x+rng.NormFloat64()*0.01)
 	}
-	fit, err := FitLinear(xs, ys)
+	a, b, err := fitLine(xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(fit.A-4) > 0.05 || math.Abs(fit.B-0.5) > 0.01 {
-		t.Fatalf("noisy fit = %+v, want approx A=4 B=0.5", fit)
-	}
-	if fit.R2 < 0.999 {
-		t.Fatalf("R2 = %v, want near 1", fit.R2)
+	if math.Abs(a-4) > 0.05 || math.Abs(b-0.5) > 0.01 {
+		t.Fatalf("noisy fit = %v + %v x, want approx 4 + 0.5x", a, b)
 	}
 }
 
@@ -96,9 +103,8 @@ func TestPiecewiseUnsortedInput(t *testing.T) {
 	if got := p.Eval(2.5); !almostEqual(got, 0.25, 1e-12) {
 		t.Fatalf("Eval(2.5) = %v, want 0.25", got)
 	}
-	xs, _ := p.Knots()
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] {
+	for i := 1; i < len(p.xs); i++ {
+		if p.xs[i] <= p.xs[i-1] {
 			t.Fatal("knots not sorted")
 		}
 	}

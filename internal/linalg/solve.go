@@ -10,116 +10,6 @@ import (
 // singular matrix.
 var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
-// LU holds an LU factorization with partial pivoting: P*A = L*U.
-type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
-}
-
-// FactorLU computes the LU factorization of the square matrix a with partial
-// (row) pivoting. The input matrix is not modified.
-func FactorLU(a *Matrix) (*LU, error) {
-	if a.Rows() != a.Cols() {
-		return nil, fmt.Errorf("linalg: LU requires a square matrix, got %dx%d", a.Rows(), a.Cols())
-	}
-	n := a.Rows()
-	lu := a.Clone()
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	sign := 1
-	for k := 0; k < n; k++ {
-		// Find the pivot row.
-		p := k
-		maxAbs := math.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if ab := math.Abs(lu.At(i, k)); ab > maxAbs {
-				maxAbs = ab
-				p = i
-			}
-		}
-		if maxAbs == 0 {
-			return nil, ErrSingular
-		}
-		if p != k {
-			for j := 0; j < n; j++ {
-				tmp := lu.At(p, j)
-				lu.Set(p, j, lu.At(k, j))
-				lu.Set(k, j, tmp)
-			}
-			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
-		}
-		// Eliminate below the pivot.
-		pivVal := lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			f := lu.At(i, k) / pivVal
-			lu.Set(i, k, f)
-			if f == 0 {
-				continue
-			}
-			for j := k + 1; j < n; j++ {
-				lu.Add(i, j, -f*lu.At(k, j))
-			}
-		}
-	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
-}
-
-// Solve solves A*x = b for x using the factorization.
-func (f *LU) Solve(b []float64) ([]float64, error) {
-	n := f.lu.Rows()
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: rhs length %d does not match matrix order %d", len(b), n)
-	}
-	x := make([]float64, n)
-	// Apply the permutation.
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
-	}
-	// Forward substitution with unit-diagonal L.
-	for i := 1; i < n; i++ {
-		var s float64
-		for j := 0; j < i; j++ {
-			s += f.lu.At(i, j) * x[j]
-		}
-		x[i] -= s
-	}
-	// Back substitution with U.
-	for i := n - 1; i >= 0; i-- {
-		var s float64
-		for j := i + 1; j < n; j++ {
-			s += f.lu.At(i, j) * x[j]
-		}
-		d := f.lu.At(i, i)
-		if d == 0 {
-			return nil, ErrSingular
-		}
-		x[i] = (x[i] - s) / d
-	}
-	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows(); i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// SolveLU is a convenience wrapper that factors a and solves a*x = b.
-func SolveLU(a *Matrix, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
 // QR holds a Householder QR factorization A = Q*R of an m-by-n matrix with
 // m >= n.
 type QR struct {
@@ -227,6 +117,33 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
+// InvGramDiag returns the diagonal of (A'A)⁻¹ — the coefficient
+// variances of the least-squares fit per unit residual variance — as the
+// squared row norms of R⁻¹, since A'A = R'R. Call it only after Solve
+// has accepted the factor's rank.
+func (f *QR) InvGramDiag() []float64 {
+	n := f.qr.Cols()
+	// Column j of R⁻¹ by back substitution of R*z = e_j; z is zero below j.
+	rinv := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		rinv.Set(j, j, 1/f.qr.At(j, j))
+		for i := j - 1; i >= 0; i-- {
+			var s float64
+			for k := i + 1; k <= j; k++ {
+				s += f.qr.At(i, k) * rinv.At(k, j)
+			}
+			rinv.Set(i, j, -s/f.qr.At(i, i))
+		}
+	}
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			out[i] += rinv.At(i, j) * rinv.At(i, j)
+		}
+	}
+	return out
+}
+
 // LeastSquares returns the x minimizing ||A*x - b||2 via Householder QR.
 func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	f, err := FactorQR(a)
@@ -234,20 +151,4 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Residual returns b - A*x, useful for checking least-squares quality.
-func Residual(a *Matrix, x, b []float64) ([]float64, error) {
-	ax, err := a.MulVec(x)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) != len(ax) {
-		return nil, fmt.Errorf("linalg: rhs length %d does not match %d", len(b), len(ax))
-	}
-	r := make([]float64, len(b))
-	for i := range r {
-		r[i] = b[i] - ax[i]
-	}
-	return r, nil
 }

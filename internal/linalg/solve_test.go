@@ -7,101 +7,9 @@ import (
 	"testing/quick"
 )
 
-func TestSolveLUKnown(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{
-		{2, 1, -1},
-		{-3, -1, 2},
-		{-2, 1, 2},
-	})
-	x, err := SolveLU(a, []float64{8, -11, -3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 3, -1}
-	for i := range want {
-		if !almostEqual(x[i], want[i], 1e-10) {
-			t.Fatalf("x = %v, want %v", x, want)
-		}
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{
-		{1, 2},
-		{2, 4},
-	})
-	if _, err := FactorLU(a); err != ErrSingular {
-		t.Fatalf("FactorLU(singular) err = %v, want ErrSingular", err)
-	}
-}
-
-func TestLUNonSquare(t *testing.T) {
-	if _, err := FactorLU(NewMatrix(2, 3)); err == nil {
-		t.Fatal("non-square LU accepted")
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{
-		{3, 8},
-		{4, 6},
-	})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Det(); !almostEqual(got, -14, 1e-10) {
-		t.Fatalf("Det = %v, want -14", got)
-	}
-}
-
-func TestLUSolveRHSLengthMismatch(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{{1, 0}, {0, 1}})
-	f, _ := FactorLU(a)
-	if _, err := f.Solve([]float64{1}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-// Property: for random well-conditioned systems, A * Solve(A, b) == b.
-func TestLURoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		a := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, rng.NormFloat64())
-			}
-			a.Add(i, i, float64(n)) // diagonal dominance => well conditioned
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, err := SolveLU(a, b)
-		if err != nil {
-			return false
-		}
-		ax, err := a.MulVec(x)
-		if err != nil {
-			return false
-		}
-		for i := range b {
-			if !almostEqual(ax[i], b[i], 1e-8) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQRExactSystem(t *testing.T) {
 	// Square system: least squares must reproduce the exact solution.
-	a, _ := NewMatrixFrom([][]float64{
+	a := fromRows([][]float64{
 		{1, 1},
 		{1, 2},
 	})
@@ -141,7 +49,7 @@ func TestQRUnderdeterminedRejected(t *testing.T) {
 
 func TestQRRankDeficient(t *testing.T) {
 	// Two identical columns: rank deficient.
-	a, _ := NewMatrixFrom([][]float64{
+	a := fromRows([][]float64{
 		{1, 1},
 		{2, 2},
 		{3, 3},
@@ -175,17 +83,20 @@ func TestQRNormalEquationsProperty(t *testing.T) {
 		if err != nil {
 			return true // rank-deficient random draw; skip
 		}
-		r, err := Residual(a, x, b)
-		if err != nil {
-			return false
+		r := make([]float64, m)
+		for i := range r {
+			r[i] = b[i]
+			for j := 0; j < n; j++ {
+				r[i] -= a.At(i, j) * x[j]
+			}
 		}
 		// A' r must be ~0.
-		atr, err := a.Transpose().MulVec(r)
-		if err != nil {
-			return false
-		}
-		for _, v := range atr {
-			if math.Abs(v) > 1e-8 {
+		for j := 0; j < n; j++ {
+			var atr float64
+			for i := 0; i < m; i++ {
+				atr += a.At(i, j) * r[i]
+			}
+			if math.Abs(atr) > 1e-8 {
 				return false
 			}
 		}
@@ -196,9 +107,86 @@ func TestQRNormalEquationsProperty(t *testing.T) {
 	}
 }
 
-func TestResidualLengthMismatch(t *testing.T) {
-	a := Identity(2)
-	if _, err := Residual(a, []float64{1, 2}, []float64{1}); err == nil {
+func TestQRSolveRHSLengthMismatch(t *testing.T) {
+	f, err := FactorQR(fromRows([][]float64{{1, 0}, {0, 1}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Solve([]float64{1}); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+}
+
+func TestQRInvGramDiagKnown(t *testing.T) {
+	// A'A = [[3 3] [3 5]], whose inverse is [[5 -3] [-3 3]]/6.
+	f, err := FactorQR(fromRows([][]float64{{1, 0}, {1, 1}, {1, 2}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := f.InvGramDiag()
+	if !almostEqual(got[0], 5.0/6, 1e-12) || !almostEqual(got[1], 0.5, 1e-12) {
+		t.Fatalf("diag((A'A)^-1) = %v, want [0.8333 0.5]", got)
+	}
+}
+
+// Property: (A'A)^-1_jj = 1/RSS_j, where RSS_j is the residual sum of
+// squares of column j regressed on the other columns — an independent
+// route to the same diagonal through separate least-squares solves.
+func TestQRInvGramDiagProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := 4 + rng.Intn(10)
+		n := 1 + rng.Intn(4)
+		a := NewMatrix(m, n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, rng.NormFloat64())
+			}
+		}
+		fa, err := FactorQR(a)
+		if err != nil {
+			return false
+		}
+		if _, err := fa.Solve(make([]float64, m)); err != nil {
+			return true // rank-deficient random draw; skip
+		}
+		got := fa.InvGramDiag()
+		for j := 0; j < n; j++ {
+			col := make([]float64, m)
+			for i := range col {
+				col[i] = a.At(i, j)
+			}
+			resid := col
+			if n > 1 {
+				others := NewMatrix(m, n-1)
+				for i := 0; i < m; i++ {
+					for k, c := 0, 0; k < n; k++ {
+						if k != j {
+							others.Set(i, c, a.At(i, k))
+							c++
+						}
+					}
+				}
+				x, err := LeastSquares(others, col)
+				if err != nil {
+					return false
+				}
+				resid = make([]float64, m)
+				for i := range resid {
+					resid[i] = col[i]
+					for k := 0; k < n-1; k++ {
+						resid[i] -= others.At(i, k) * x[k]
+					}
+				}
+			}
+			rss := Norm2(resid) * Norm2(resid)
+			if !almostEqual(got[j], 1/rss, 1e-8) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

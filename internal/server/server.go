@@ -66,6 +66,7 @@ import (
 	"krak/internal/engine"
 	"krak/internal/faultinject"
 	"krak/internal/metrics"
+	"krak/internal/wire"
 	"krak/pkg/krak"
 )
 
@@ -381,18 +382,11 @@ func (s *Server) Close() error {
 // maxBody bounds request bodies; the wire types are a few hundred bytes.
 const maxBody = 1 << 20
 
-// decode reads a strict JSON body into v: unknown fields and trailing
-// garbage are errors, exactly what the fuzz harness pounds on.
+// decode reads a strict JSON body into v (wire.Decode: unknown
+// fields and trailing garbage are errors, exactly what the fuzz harness
+// pounds on), bounded by maxBody.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("decoding request: trailing data after JSON body")
-	}
-	return nil
+	return wire.Decode(http.MaxBytesReader(w, r.Body, maxBody), v)
 }
 
 // errorStatus maps a typed krak error to its HTTP status.

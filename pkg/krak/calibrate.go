@@ -598,15 +598,17 @@ func (s *Session) calibrate(ctx context.Context, ds *Dataset, opt CalibrateOptio
 		}
 	}
 
-	// The side linear fit backs Params/StdErr — the machine-file
+	// The linear fit backs Params/StdErr — the machine-file
 	// interpretation — whatever form won. Its fallback ladder makes it
-	// nearly always available; when even that degenerates while a richer
-	// form fitted, the parameters are simply left zero.
+	// nearly always available; when it degenerates while a richer form
+	// fitted, the parameters are simply left zero.
+	lin := best
+	if best.Form != calib.FormLinear {
+		lin, _ = fitForm(times, feats, calib.FormLinear)
+	}
 	var linP, linSE FitParams
-	if lfr, lerr := calib.Fit(times, feats); lerr == nil {
-		linP, linSE = fitParams(lfr.Params), fitParams(lfr.StdErr)
-	} else if best.Form == calib.FormLinear {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCalibration, lerr)
+	if lin != nil {
+		linP, linSE = fitParams(lin.Coeffs), fitParams(lin.StdErr)
 	}
 
 	cr := &CalibrationResult{
@@ -650,12 +652,14 @@ func (s *Session) calibrate(ctx context.Context, ds *Dataset, opt CalibrateOptio
 	return cr, best, nil
 }
 
-func fitParams(p calib.Params) FitParams {
+// fitParams maps linear-form coefficients (or their standard errors),
+// in the form's compute/messages/bytes/fixed order, onto FitParams.
+func fitParams(c []float64) FitParams {
 	return FitParams{
-		ComputeScale:   p.ComputeScale,
-		LatencySeconds: p.LatencySec,
-		SecondsPerByte: p.ByteSec,
-		FixedSeconds:   p.FixedSec,
+		ComputeScale:   c[0],
+		LatencySeconds: c[1],
+		SecondsPerByte: c[2],
+		FixedSeconds:   c[3],
 	}
 }
 
@@ -687,10 +691,6 @@ func fittedSegment(minBytes int, latSec, byteSec float64) SegmentSpec {
 func (s *Session) fittedSpec(best *calib.FormFit, lin FitParams) MachineSpec {
 	scale := lin.ComputeScale
 	segments := []SegmentSpec{fittedSegment(0, lin.LatencySeconds, lin.SecondsPerByte)}
-	if lp, ok := best.LinearParams(); ok {
-		scale = lp.ComputeScale
-		segments = []SegmentSpec{fittedSegment(0, lp.LatencySec, lp.ByteSec)}
-	}
 	if best.Form == calib.FormPiecewise && len(best.Coeffs) == 6 && int(best.Breakpoint) > 0 {
 		scale = best.Coeffs[0]
 		segments = []SegmentSpec{
