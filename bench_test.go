@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"testing"
 
+	"krak/internal/artifacts"
 	"krak/internal/cluster"
 	"krak/internal/compute"
 	"krak/internal/core"
@@ -172,6 +173,27 @@ func BenchmarkPartitionMultilevel128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ml.Partition(g, 128); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPartitionMultilevelFineK partitions the quick medium deck
+// (51,200 cells, the deck the serving benchmark's mesh-cold workload
+// partitions) at k = 1536. Above k = n/40 the top level does no
+// coarsening, so the partition is recursive bisection of the fine graph
+// with FM refinement at every bisection level — the regime of
+// mesh-cold's top PE bands, which PartitionMultilevel128 never reaches.
+func BenchmarkPartitionMultilevelFineK(b *testing.B) {
+	d, err := artifacts.NewStore().StandardDeck(mesh.Medium, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := partition.FromMesh(d.Mesh)
+	ml := partition.NewMultilevel(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ml.Partition(g, 1536); err != nil {
 			b.Fatal(err)
 		}
 	}

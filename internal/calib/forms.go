@@ -274,8 +274,8 @@ func (loglogForm) Describe() string {
 func (loglogForm) Fit(times []float64, feats []Features) (*FormFit, error) {
 	for i, f := range feats {
 		if times[i] <= 0 || f.Compute <= 0 || f.Messages <= 0 || f.Bytes <= 0 {
-			return nil, fmt.Errorf("calib: loglog form needs strictly positive times and features (observation %d): %w",
-				i, ErrDegenerate)
+			return nil, fmt.Errorf("%w: loglog form needs strictly positive times and features (observation %d)",
+				ErrDegenerate, i)
 		}
 	}
 	logT := make([]float64, len(times))
@@ -354,20 +354,20 @@ func (piecewiseForm) Describe() string {
 
 func (piecewiseForm) Fit(times []float64, feats []Features) (*FormFit, error) {
 	if len(times) < 2*piecewiseMinSide+2 {
-		return nil, fmt.Errorf("calib: piecewise form needs at least %d observations, got %d: %w",
-			2*piecewiseMinSide+2, len(times), ErrDegenerate)
+		return nil, fmt.Errorf("%w: piecewise form needs at least %d observations, got %d",
+			ErrDegenerate, 2*piecewiseMinSide+2, len(times))
 	}
 	sizes := make([]float64, len(feats))
 	for i, f := range feats {
 		if f.Messages <= 0 {
-			return nil, fmt.Errorf("calib: piecewise form needs message traffic in every observation (observation %d): %w",
-				i, ErrDegenerate)
+			return nil, fmt.Errorf("%w: piecewise form needs message traffic in every observation (observation %d)",
+				ErrDegenerate, i)
 		}
 		sizes[i] = meanMessageSize(f)
 	}
 	candidates := breakpointCandidates(sizes)
 	if len(candidates) == 0 {
-		return nil, fmt.Errorf("calib: piecewise form needs varied message sizes to split on: %w", ErrDegenerate)
+		return nil, fmt.Errorf("%w: piecewise form needs varied message sizes to split on", ErrDegenerate)
 	}
 
 	var best *FormFit
@@ -404,7 +404,7 @@ func (piecewiseForm) Fit(times []float64, feats []Features) (*FormFit, error) {
 		}
 	}
 	if best == nil {
-		return nil, fmt.Errorf("calib: no piecewise breakpoint resolved the design: %w", ErrDegenerate)
+		return nil, fmt.Errorf("%w: no piecewise breakpoint resolved the design", ErrDegenerate)
 	}
 	return best, nil
 }

@@ -85,7 +85,7 @@ func SelectModel(times []float64, feats []Features, k int, seed uint64) (*Select
 		sel.Scores = append(sel.Scores, score)
 	}
 	if len(fits) == 0 {
-		return nil, fmt.Errorf("calib: no model form fits this dataset: %w", ErrDegenerate)
+		return nil, fmt.Errorf("%w: no model form fits this dataset", ErrDegenerate)
 	}
 
 	// Lowest CV RMSE sets the band; within the band the fewest
@@ -190,7 +190,9 @@ func crossValidateWith(times []float64, feats []Features, k int, seed uint64,
 		}
 		ff, err := fit(trT, trF)
 		if err != nil {
-			return nil, fmt.Errorf("calib: fold %d: %w", fold, err)
+			// err already names the package; the fold goes last so the
+			// text reads "calib:" once.
+			return nil, fmt.Errorf("%w (in fold %d)", err, fold)
 		}
 		for _, idx := range teIdx {
 			pred := ff.Predict(feats[idx])
@@ -199,7 +201,7 @@ func crossValidateWith(times []float64, feats []Features, k int, seed uint64,
 			// predictions disqualify the form for this dataset rather than
 			// poisoning the scoreboard with NaN/Inf that JSON cannot carry.
 			if math.IsNaN(pred) || math.IsInf(pred, 0) {
-				return nil, fmt.Errorf("calib: fold %d: non-finite held-out prediction: %w", fold, ErrDegenerate)
+				return nil, fmt.Errorf("%w: non-finite held-out prediction (in fold %d)", ErrDegenerate, fold)
 			}
 			e := times[idx] - pred
 			sse += e * e

@@ -1,18 +1,22 @@
 // Package gateway is the multi-replica resilience layer in front of
 // `krak serve`: a stdlib-only reverse proxy that makes a fleet of
 // replicas drivable as one service. Requests route by consistent
-// hashing of the serving tier's canonical request keys — the same
-// content-derived keys the replicas' response LRUs use — so a given
-// scenario always lands on the replica whose caches are already warm
-// for it. Around that routing sit the failure-handling layers ROADMAP
-// item 1's "millions of users" story needs: per-replica health probing,
-// bounded retries with exponential backoff and full jitter on
-// idempotent endpoints, per-replica circuit breakers, failover along
-// the hash ring, and graceful degradation — when every replica for a
-// key is unavailable the gateway serves from its own read-through disk
-// cache, or evaluates the request locally in quick mode with a
-// `Krak-Degraded` response header, before it will return a 503 (which
-// then carries krak.ErrUnavailable semantics and a Retry-After).
+// hashing of content-derived keys, so a given scenario always lands on
+// the replica whose caches are already warm for it. A simulate or a
+// mesh-specific predict hashes on its partition identity (deck, PEs,
+// partitioner, machine seed, quick), so every request that reads one
+// partition meets the replica that computed it; other predicts hash on
+// the serving tier's canonical request key, the key the replicas'
+// response LRUs use. Around that routing sit the failure-handling
+// layers ROADMAP item 1's "millions of users" story needs: per-replica
+// health probing, bounded retries with exponential backoff and full
+// jitter on idempotent endpoints, per-replica circuit breakers,
+// failover along the hash ring, and graceful degradation — when every
+// replica for a key is unavailable the gateway serves from its own
+// read-through disk cache, or evaluates the request locally in quick
+// mode with a `Krak-Degraded` response header, before it will return a
+// 503 (which then carries krak.ErrUnavailable semantics and a
+// Retry-After).
 //
 // Everything observable is exported through the shared metrics
 // registry: krak_gateway_retries_total, krak_gateway_breaker_state,
@@ -22,6 +26,7 @@ package gateway
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -223,9 +228,14 @@ type reqClass struct {
 
 // classify derives a request's class from method, path, and body.
 //
-// Predict and simulate route by their canonical content key (the warm-
-// cache routing the ring exists for) and degrade all the way to local
-// evaluation. Their bodies decode with the replicas' strict rule
+// Predict and simulate carry a canonical content key (the response-cache
+// key of the replicas and of the disk tier) and degrade all the way to
+// local evaluation. They route by the most expensive artifact they
+// read: a simulate and a mesh-specific predict hash on the identity of
+// their partition (SimulateRequest.PartitionKey), so a scenario's
+// simulate and its follow-up predicts meet one replica and partition
+// once; a general-model predict reads no partition and hashes on its
+// canonical key. Their bodies decode with the replicas' strict rule
 // (wire.Decode); one a replica would reject routes by digest with no
 // degraded tier, so an outage cannot turn a 400 into a 200. Sweep,
 // compare, and calibrate are pure functions of their body, so they
@@ -263,7 +273,7 @@ func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
 		}
 		req.Machine = ms
 		key := req.CanonicalKey()
-		return reqClass{key: key, idempotent: true, cacheKey: key,
+		return reqClass{key: cmp.Or(req.PartitionKey(), key), idempotent: true, cacheKey: key,
 			local: func(ctx context.Context) ([]byte, error) { return g.localPredict(req) }}
 	case "/v1/simulate":
 		var req krak.SimulateRequest
@@ -276,7 +286,7 @@ func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
 		}
 		req.Machine = ms
 		key := req.CanonicalKey()
-		return reqClass{key: key, idempotent: true, cacheKey: key,
+		return reqClass{key: req.PartitionKey(), idempotent: true, cacheKey: key,
 			local: func(ctx context.Context) ([]byte, error) { return g.localSimulate(req) }}
 	case "/v1/sweep", "/v1/compare", "/v1/calibrate":
 		return reqClass{key: digest(), idempotent: true}

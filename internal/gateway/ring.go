@@ -11,10 +11,10 @@ import (
 // owns VirtualNodes points on a uint64 circle, placed by hashing its
 // URL — so the assignment of keys to replicas depends only on the
 // replica set, not on list order, and adding or removing one replica
-// moves only the keys it owned. Keys are the serving tier's canonical
-// request keys: the same scenario hashes to the same replica every
-// time, which is what keeps that replica's response LRU and artifact
-// caches warm for it.
+// moves only the keys it owned. Keys are content-derived (see
+// classify): the same scenario hashes to the same replica every time,
+// which is what keeps that replica's response LRU and artifact caches
+// warm for it.
 type ring struct {
 	points []ringPoint // sorted by hash
 	n      int         // replica count

@@ -14,6 +14,7 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -177,15 +178,40 @@ func (m *Mesh) Neighbors(c int) []int32 {
 // deck cache hands the same *Mesh to parallel jobs.
 func (m *Mesh) NodeCells() [][]int32 {
 	m.nodeOnce.Do(func() {
+		off, cells := m.nodeIncidence()
 		nc := make([][]int32, m.NumNodes())
-		for c, nodes := range m.CellNodes {
-			for _, n := range nodes {
-				nc[n] = append(nc[n], int32(c))
-			}
+		for n := range nc {
+			nc[n] = cells[off[n]:off[n+1]:off[n+1]]
 		}
 		m.nodeCells = nc
 	})
 	return m.nodeCells
+}
+
+// nodeIncidence builds the node -> incident cells table in compressed
+// form: node n's cells, in ascending cell order, are
+// cells[off[n]:off[n+1]]. Unlike NodeCells it is not retained on the
+// mesh, so a caller that needs the table once (Summarize) leaves no
+// per-node slice headers pinned on a shared, cached deck.
+func (m *Mesh) nodeIncidence() (off, cells []int32) {
+	off = make([]int32, m.NumNodes()+1)
+	for _, nodes := range m.CellNodes {
+		for _, n := range nodes {
+			off[n+1]++
+		}
+	}
+	for n := 0; n < m.NumNodes(); n++ {
+		off[n+1] += off[n]
+	}
+	cells = make([]int32, off[m.NumNodes()])
+	next := slices.Clone(off[:m.NumNodes()])
+	for c, nodes := range m.CellNodes {
+		for _, n := range nodes {
+			cells[next[n]] = int32(c)
+			next[n]++
+		}
+	}
+	return off, cells
 }
 
 // MaterialCounts returns the number of cells of each material.

@@ -204,10 +204,10 @@ func Summarize(m *Mesh, part []int, p int) (*PartitionSummary, error) {
 	// we approximate "touches" with the exchange groups of its incident
 	// cells on the two processors, which coincides with face groups on
 	// conforming quad meshes.
-	nodeCells := m.NodeCells()
+	off, incident := m.nodeIncidence()
 	var pesHere []int
-	for n, cells := range nodeCells {
-		_ = n
+	for n := 0; n < m.NumNodes(); n++ {
+		cells := incident[off[n]:off[n+1]]
 		pesHere = pesHere[:0]
 		for _, c := range cells {
 			pe := part[c]

@@ -70,6 +70,11 @@ func TestSummarizeTwoWaySplit(t *testing.T) {
 	if len(s.NeighborsOf[0]) != 1 || s.NeighborsOf[0][0] != 1 {
 		t.Fatalf("neighbors = %v", s.NeighborsOf)
 	}
+	// Node incidence is built per call: a shared, cached mesh keeps no
+	// per-node table for summaries.
+	if m.nodeCells != nil {
+		t.Fatal("Summarize left the node incidence table on the mesh")
+	}
 }
 
 func TestSummarizeMaterialBoundarySplit(t *testing.T) {

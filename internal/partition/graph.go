@@ -186,6 +186,9 @@ type Partitioner interface {
 }
 
 // validateArgs provides shared argument checking for the partitioners.
+// Vertex weights must be non-negative: every balance target assumes a
+// non-negative total, and fmRefine's admissible-move window is exact
+// only then (see moveWindow).
 func validateArgs(g *Graph, k int) error {
 	if g == nil || g.NumVertices() == 0 {
 		return fmt.Errorf("partition: empty graph")
@@ -195,6 +198,11 @@ func validateArgs(g *Graph, k int) error {
 	}
 	if k > g.NumVertices() {
 		return fmt.Errorf("partition: %d parts exceed %d vertices", k, g.NumVertices())
+	}
+	for v, w := range g.VWgt {
+		if w < 0 {
+			return fmt.Errorf("partition: vertex %d has negative weight %d", v, w)
+		}
 	}
 	return nil
 }

@@ -29,7 +29,8 @@ type Multilevel struct {
 	// keeping the best (default 4).
 	Tries int
 	// MaxImbalance bounds the tolerated imbalance as a fraction, e.g. 0.05
-	// allows parts 5% above average (default 0.05).
+	// allows parts 5% above average (default 0.05). Partition rejects
+	// values above 1 and NaN.
 	MaxImbalance float64
 	// RefinePasses bounds the k-way refinement passes per level (default 4).
 	RefinePasses int
@@ -130,6 +131,9 @@ func grow[T any](buf []T, n int) []T {
 func (ml *Multilevel) Partition(g *Graph, k int) ([]int, error) {
 	if err := validateArgs(g, k); err != nil {
 		return nil, err
+	}
+	if !(ml.MaxImbalance <= 1) {
+		return nil, fmt.Errorf("partition: max imbalance %g outside [0, 1]", ml.MaxImbalance)
 	}
 	rng := stats.Derive(ml.Seed, 0x9a17, uint64(k))
 	scr := &mlScratch{}
@@ -533,9 +537,11 @@ func cutSides(g *Graph, side []int8) int64 {
 // vertex negates its own gain and adjusts each neighbor's cached gain and
 // external-edge count by the flipped edge, so selecting the next move is a
 // flat scan over cached values instead of re-walking the adjacency of every
-// candidate. The scan order (ascending vertex id, strictly-greater gain
-// wins) exactly matches the re-scanning implementation, so move sequences —
-// and therefore partitions — are byte-identical at a fixed seed.
+// candidate. The balance test is a weight window computed once per step
+// (moveWindow) and checked only for a candidate whose gain would win. The
+// scan order (ascending vertex id, strictly-greater gain wins) exactly
+// matches the re-scanning implementation, so move sequences — and
+// therefore partitions — are byte-identical at a fixed seed.
 func fmRefine(g *Graph, side []int8, target0 int64, tol float64, maxPasses int, scr *mlScratch) {
 	n := g.NumVertices()
 	lo0 := int64(float64(target0) * (1 - tol))
@@ -620,13 +626,6 @@ func fmRefine(g *Graph, side []int8, target0 int64, tol float64, maxPasses int, 
 		}
 	}
 
-	dist := func(w int64) int64 {
-		if w > target0 {
-			return w - target0
-		}
-		return target0 - w
-	}
-
 	scr.moves = grow(scr.moves, 0)
 
 	for pass := 0; pass < maxPasses; pass++ {
@@ -647,23 +646,18 @@ func fmRefine(g *Graph, side []int8, target0 int64, tol float64, maxPasses int, 
 		for step := 0; step < n; step++ {
 			bestV := -1
 			var bestMoveGain int64 = -1 << 62
+			wLo, wHi := moveWindow(w0, target0, lo0, hi0)
 			for wi := 0; wi < words; wi++ {
 				bits := cand[wi]
 				for bits != 0 {
 					v := wi<<6 + bits64.TrailingZeros64(bits)
 					bits &= bits - 1
-					nw0 := w0
-					if side[v] == 0 {
-						nw0 -= int64(g.VWgt[v])
-					} else {
-						nw0 += int64(g.VWgt[v])
-					}
-					if (nw0 < lo0 || nw0 > hi0) && dist(nw0) >= dist(w0) {
-						continue
-					}
 					if gv := gain[v]; gv > bestMoveGain {
-						bestMoveGain = gv
-						bestV = v
+						s, wv := side[v], int64(g.VWgt[v])
+						if wv >= wLo[s] && wv <= wHi[s] {
+							bestMoveGain = gv
+							bestV = v
+						}
 					}
 				}
 			}
@@ -692,6 +686,26 @@ func fmRefine(g *Graph, side []int8, target0 int64, tol float64, maxPasses int, 
 			return
 		}
 	}
+}
+
+// moveWindow returns, for each side s, the closed interval
+// [lo[s], hi[s]] of vertex weights whose move off side s is admissible
+// while side 0 weighs w0: the move leaves side 0 within [lo0, hi0], or
+// strictly closer to target0 than w0 is. Each condition is an interval
+// of the new side-0 weight around target0, so with lo0 <= target0 <= hi0
+// (which validateArgs and Partition's MaxImbalance check guarantee) their
+// union is the single interval [aLo, aHi], and the weight test is exact.
+// fmRefine computes it once per step instead of testing both conditions
+// for every candidate.
+func moveWindow(w0, target0, lo0, hi0 int64) (lo, hi [2]int64) {
+	d := w0 - target0
+	if d < 0 {
+		d = -d
+	}
+	aLo, aHi := min(lo0, target0-d+1), max(hi0, target0+d-1)
+	// Moving a vertex of weight wv off side 0 leaves side 0 at w0-wv;
+	// moving one off side 1 brings it to w0+wv.
+	return [2]int64{w0 - aHi, aLo - w0}, [2]int64{w0 - aLo, aHi - w0}
 }
 
 // kwayRefine runs greedy k-way boundary refinement: vertices on part

@@ -267,6 +267,25 @@ func (r PredictRequest) CanonicalKey() string {
 	return fmt.Sprintf("predict|%s|%d|%s|%s", r.Deck, r.PEs, r.Model, r.Machine.Fingerprint())
 }
 
+// PartitionKey is the identity of the partition this prediction reads,
+// or "" when it reads none: only the mesh-specific model partitions the
+// deck (with the default multilevel partitioner). See
+// SimulateRequest.PartitionKey for the contract.
+func (r PredictRequest) PartitionKey() string {
+	r = r.Normalized()
+	if m, err := ParseModel(r.Model); err != nil || m != MeshSpecific {
+		return ""
+	}
+	return partitionKey(r.Deck, r.PEs, "multilevel", r.Machine)
+}
+
+// partitionKey spells a partition identity from what the artifact store
+// keys a partition on: the deck (quick decks are distinct content), the
+// part count, the partitioner, and the machine's partitioning seed.
+func partitionKey(deck string, pes int, partitioner string, ms MachineSpec) string {
+	return fmt.Sprintf("partition|%s|%d|%s|%d|%t", deck, pes, partitioner, ms.Seed, ms.Quick)
+}
+
 // SimulateRequest is the body of POST /v1/simulate.
 type SimulateRequest struct {
 	Deck        string      `json:"deck,omitempty"`        // default medium
@@ -311,6 +330,19 @@ func (r SimulateRequest) CanonicalKey() string {
 	r = r.Normalized()
 	return fmt.Sprintf("simulate|%s|%d|%d|%s|%s",
 		r.Deck, r.PEs, r.Iterations, r.Partitioner, r.Machine.Fingerprint())
+}
+
+// PartitionKey is the identity of the partition this simulation reads:
+// the normalized deck, PE count, partitioner, and the machine's seed and
+// quick mode — everything the artifact store's partition key depends on
+// and nothing else (not the network, compute scale or iterations). The
+// gateway routes on it, so a simulate and the mesh-specific predicts of
+// the same scenario land on the replica that already holds the
+// partition, while responses stay cached under CanonicalKey. Like
+// CanonicalKey, it reads the machine spec as given: resolve it first.
+func (r SimulateRequest) PartitionKey() string {
+	r = r.Normalized()
+	return partitionKey(r.Deck, r.PEs, r.Partitioner, r.Machine)
 }
 
 // SweepRequest is the body of POST /v1/sweep: the cross product of Decks

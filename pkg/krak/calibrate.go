@@ -289,18 +289,21 @@ func (cr *CalibrationResult) Render() string {
 	}
 	b.WriteString("\n\n")
 
-	bw := "inf"
-	if cr.Params.SecondsPerByte > 0 {
-		bw = fmt.Sprintf("%.1f MB/s", 1/(cr.Params.SecondsPerByte*1e6))
+	// A non-positive byte cost has no bandwidth to show: it is noise
+	// around zero, not an infinitely fast network, and the fitted
+	// machine file clamps it to 0 (see fittedSegment).
+	spb := cr.Params.SecondsPerByte
+	bw, bwNote := "unresolved", fmt.Sprintf("%.3g s/B, machine file clamps to 0", spb)
+	if spb > 0 {
+		bw = fmt.Sprintf("%.1f MB/s", 1/(spb*1e6))
+		bwNote = fmt.Sprintf("%.3g s/B", spb)
 	}
 	rows := [][]string{
 		{"compute scale", fmt.Sprintf("%.4f", cr.Params.ComputeScale),
 			fmt.Sprintf("%.2g", cr.StdErr.ComputeScale), "x ES45 baseline"},
 		{"latency", fmt.Sprintf("%.3f us", cr.Params.LatencySeconds*1e6),
 			fmt.Sprintf("%.2g us", cr.StdErr.LatencySeconds*1e6), "per message"},
-		{"bandwidth", bw,
-			fmt.Sprintf("%.2g s/B", cr.StdErr.SecondsPerByte),
-			fmt.Sprintf("%.3g s/B", cr.Params.SecondsPerByte)},
+		{"bandwidth", bw, fmt.Sprintf("%.2g s/B", cr.StdErr.SecondsPerByte), bwNote},
 		{"fixed overhead", fmt.Sprintf("%.4f ms", cr.Params.FixedSeconds*1e3),
 			fmt.Sprintf("%.2g ms", cr.StdErr.FixedSeconds*1e3), "per iteration"},
 	}
@@ -325,21 +328,18 @@ func (cr *CalibrationResult) Render() string {
 		b.WriteByte('\n')
 		var srows [][]string
 		for _, sc := range cr.Scoreboard {
-			note := ""
+			row := []string{sc.Form, fmt.Sprintf("%d", sc.Coeffs),
+				fmt.Sprintf("%.4f", sc.CVRMSESeconds*1e3), stats.FormatPct(sc.CVMAPE),
+				fmt.Sprintf("%.6f", sc.R2), ""}
 			if sc.Selected {
-				note = "selected"
+				row[5] = "selected"
 			}
 			if sc.Error != "" {
-				note = sc.Error
+				// A failed form has no scores; zeros would read as a
+				// perfect fit.
+				row = []string{sc.Form, row[1], "-", "-", "-", sc.Error}
 			}
-			srows = append(srows, []string{
-				sc.Form,
-				fmt.Sprintf("%d", sc.Coeffs),
-				fmt.Sprintf("%.4f", sc.CVRMSESeconds*1e3),
-				stats.FormatPct(sc.CVMAPE),
-				fmt.Sprintf("%.6f", sc.R2),
-				note,
-			})
+			srows = append(srows, row)
 		}
 		b.WriteString(textplot.Table([]string{"Form", "Coeffs", "CV RMSE (ms)", "CV MAPE", "R^2", "Note"}, srows))
 	}

@@ -197,47 +197,77 @@ func TestCalibrateDeterministic(t *testing.T) {
 	}
 }
 
-// TestCalibrateGolden pins the rendered calibration of a fixed dataset
-// on the quick baseline machine against a checked-in golden file,
-// extending the PR 3 golden pattern to the calibration subsystem.
+// TestCalibrateGolden pins the rendered calibration of fixed datasets
+// on the quick baseline machine against checked-in golden files,
+// extending the experiment goldens' pattern to calibration. The
+// second dataset (the quick synthetic sweep `krak calibrate -synth`
+// measures) fits a negative byte cost, which must render as an
+// unresolved bandwidth, not an infinite one.
 func TestCalibrateGolden(t *testing.T) {
-	src := []byte(`dataset golden
+	cases := []struct {
+		name, golden, src string
+		negativeBytes     bool
+	}{
+		{"golden", "calibrate.txt", `dataset golden
 obs small 2 0.052
 obs small 4 0.031
 obs small 8 0.021
 obs small 16 0.015
 obs figure2 8 0.08
 obs figure2 16 0.05
-`)
-	ds, err := ParseDataset(src)
-	if err != nil {
-		t.Fatal(err)
+`, false},
+		{"negative byte cost", "calibrate_negative_bytes.txt", `dataset synth-simulate
+obs small 2 0.06008875710115047
+obs small 4 0.04802728297105606
+obs small 8 0.0421368815723292
+obs small 16 0.03941236586440176
+obs small 32 0.03816150487526479
+`, true},
 	}
 	m, err := NewMachine(WithQuick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := calibSession(t, m, GeneralHomogeneous).Calibrate(context.Background(), ds, CalibrateOptions{Folds: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cr.Render()
-	path := filepath.Join("testdata", "golden", "calibrate.txt")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("calibration drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, err := ParseDataset([]byte(tc.src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cr, err := calibSession(t, m, GeneralHomogeneous).Calibrate(context.Background(), ds, CalibrateOptions{Folds: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := cr.Render()
+			if neg := cr.Params.SecondsPerByte <= 0; neg != tc.negativeBytes {
+				t.Fatalf("fitted byte cost %g: negative = %v, want %v", cr.Params.SecondsPerByte, neg, tc.negativeBytes)
+			}
+			if tc.negativeBytes {
+				if !strings.Contains(got, "unresolved") || !strings.Contains(got, "machine file clamps to 0") || strings.Contains(got, "inf") {
+					t.Errorf("negative byte cost rendered as:\n%s", got)
+				}
+				if bw := cr.Fitted.Network.Segments[0].BandwidthMBs; bw != 0 {
+					t.Errorf("fitted machine bandwidth %g MB/s, want the clamp to 0", bw)
+				}
+			}
+			path := filepath.Join("testdata", "golden", tc.golden)
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden file (run with -update to create): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("calibration drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+			}
+		})
 	}
 }
 

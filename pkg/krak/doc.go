@@ -93,8 +93,11 @@
 //
 // The canonical request keys the serving tier caches by are exposed as
 // PredictRequest.CanonicalKey and SimulateRequest.CanonicalKey, and
-// `krak gateway` consistent-hashes the same keys to route a
-// multi-replica fleet with warm caches; ErrUnavailable is the typed
+// `krak gateway` consistent-hashes content keys to route a
+// multi-replica fleet with warm caches: a request that reads a
+// partition (PredictRequest.PartitionKey, SimulateRequest.PartitionKey)
+// routes on the partition's identity, any other predict on its
+// canonical key; ErrUnavailable is the typed
 // refusal (HTTP 503 + Retry-After on the wire) both the server and the
 // gateway return when a request cannot be placed right now — shed it
 // or retry later. docs/ARCHITECTURE.md's Resilience section covers the
